@@ -7,9 +7,15 @@ Workloads (see workloads.py and BENCHMARK.json): construct-batch,
 cli-oneshot, spectrum.  Run from the root of a checkout; bindet is loaded
 from ``src/``.
 
+A run is a fixed number of whole rounds, about ``--seconds`` of op time at
+the workload's nominal round cost (``rounds_for``), so the same seed and
+``--seconds`` always give the same ops and the same expected failures.
+
 With ``--trace 0`` the run prints the end-to-end metrics of BENCHMARK.json;
 ``setup_s`` is the median over SETUP_PROBES fresh interpreters that each
-import, generate the inputs and warm the caches.  With ``--trace 1`` the
+import, generate the inputs and warm the caches.  Every time is scaled
+to a reference host speed measured by the probes in hostspeed.py; the raw
+figures are printed too.  With ``--trace 1`` the
 layer wrappers of spans.py are installed and the run prints the per-layer
 metrics instead; the spans are written to
 ``.perfbench_out/<workload>.spans.jsonl``.
@@ -44,6 +50,11 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT_DIR = ROOT / ".perfbench_out"
 SETUP_PROBES = 5
+
+# A run stops early, at a round boundary, once this much wall time has
+# passed, so it ends within the time allowed to a run; at the nominal host
+# speed and --seconds up to 30 it never does.
+DEADLINE_S = 120
 # Tail percentiles on offer; the tail is the highest with >= 10 samples beyond it.
 TAIL_LADDER = (50, 75, 90, 99, 99.9)
 TAIL_MIN_BEYOND = 10
@@ -144,18 +155,38 @@ def probe_setup(workload: str, seed: int) -> float:
     return (ready - start) / 1e9
 
 
-def run_loop(wl, seconds: float, tracer=None, max_rounds=None):
-    """Closed loop over whole rounds until ``seconds`` of op time have passed."""
+def rounds_for(wl, seconds: float) -> int:
+    """Rounds in a run: about ``seconds`` of op time at the nominal round cost.
+
+    The count is a whole number of the workload's periods, so a run's
+    make-up, its op count and its expected failures depend on ``seconds``
+    alone and never on how fast the host happens to be.
+    """
+    periods = round(seconds / (wl.PERIOD * wl.NOMINAL_ROUND_S))
+    return wl.PERIOD * max(1, periods)
+
+
+def run_loop(wl, rounds: int, tracer=None, deadline_s=None, probe=None):
+    """Closed loop over ``rounds`` whole rounds.
+
+    If ``deadline_s`` of wall time pass first, the loop stops at the next
+    round boundary, so a very slow host still ends the run in time.  A
+    ``probe`` (see hostspeed.py) times the host after every ``probe.EVERY``
+    ops, outside their timing.
+    """
+    probes: list[int] = []
     latencies: list[int] = []
     labels: list[str] = []
     outcomes = []
-    busy = 0
+    round_busy: list[int] = []
     digest = hashlib.sha256()
-    rounds = wl.rounds()
-    done = 0
+    source = wl.rounds()
     start = perf_counter_ns()
-    while (busy < seconds * 1e9 or done == 0) and (max_rounds is None or done < max_rounds):
-        for op in next(rounds):
+    for _ in range(rounds):
+        if deadline_s is not None and perf_counter_ns() - start > deadline_s * 1e9:
+            break
+        busy = 0
+        for op in next(source):
             op.prepare()
             if tracer is not None:
                 tracer.op_id = len(latencies)
@@ -186,26 +217,41 @@ def run_loop(wl, seconds: float, tracer=None, max_rounds=None):
             # Free the result here: dropping a large one inside the next
             # op's timed call would bill its deallocation to that op.
             del result
-        done += 1
+            if probe is not None and len(latencies) % probe.EVERY == 0:
+                probes.append(probe())
+        round_busy.append(busy)
     wall = perf_counter_ns() - start
-    return latencies, labels, outcomes, busy, wall, digest.hexdigest()
+    return latencies, labels, outcomes, round_busy, probes, wall, digest.hexdigest()
 
 
-def end_to_end(latencies, busy, setup_times, peak_rss_kib: int) -> tuple[dict, dict]:
+def end_to_end(latencies, round_busy, setup_times, peak_rss_kib: int,
+               scale: float) -> tuple[dict, dict]:
+    """End-to-end metrics of one run, with every time multiplied by ``scale``.
+
+    ``scale`` is the host probe's reference time over its median in the
+    run (hostspeed.py), so a run made while the shared host is slow
+    reads like one made while it is fast; the raw figures are printed
+    beside the scaled ones.
+    ``ops_per_s`` is the closed-loop rate of the median round: every round
+    holds the same ops, and a median over rounds is not moved by a few
+    rounds that met a busy host.
+    """
     ms = sorted(x / 1e6 for x in latencies)
     p_tail = tail_percentile(len(ms))
-    values = {
-        "ops_per_s": len(ms) / (busy / 1e9),
+    ops_per_round = len(ms) / len(round_busy)
+    raw = {
+        "ops_per_s": ops_per_round / (statistics.median(round_busy) / 1e9),
         "latency_p50_ms": statistics.median(ms),
         "latency_tail_ms": percentile(ms, p_tail),
         "setup_s": statistics.median(setup_times),
-        "peak_rss_mib": peak_rss_kib / 1024,
     }
-    notes = {
-        "latency_tail_ms": f"p{p_tail:g}, {samples_beyond(len(ms), p_tail)} samples beyond, "
-                           f"{len(ms)} ops",
-        "setup_s": "median of " + ", ".join(f"{t:.3f}" for t in setup_times),
-    }
+    values = {name: v / scale if name == "ops_per_s" else v * scale for name, v in raw.items()}
+    values["peak_rss_mib"] = peak_rss_kib / 1024
+    notes = {name: f"raw {v:.6g}" for name, v in raw.items()}
+    notes["latency_tail_ms"] += (f"; p{p_tail:g}, {samples_beyond(len(ms), p_tail)} samples "
+                                 f"beyond, {len(ms)} ops")
+    notes["setup_s"] += "; median of " + ", ".join(f"{t:.3f}" for t in setup_times)
+    notes["ops_per_s"] += f"; median of {len(round_busy)} rounds of {ops_per_round:g} ops"
     return values, notes
 
 
@@ -252,12 +298,16 @@ def measure(args, cls, spec, work_dir) -> int:
     wl.warm()
     uninstall = spans.install(tracer) if tracer is not None else None
     try:
-        latencies, labels, outcomes, busy, wall, digest = run_loop(wl, args.seconds, tracer)
+        latencies, labels, outcomes, round_busy, probes, wall, digest = run_loop(
+            wl, rounds_for(wl, args.seconds), tracer,
+            deadline_s=DEADLINE_S,
+            probe=None if tracer is not None else wl.PROBE())
     finally:
         if uninstall is not None:
             uninstall()
 
     ops = len(latencies)
+    busy = sum(round_busy)
     failed = sum(not o.ok for o in outcomes)
     correct = all(o.value_ok for o in outcomes)
     print("# machine " + " ".join(f"{k}={v}" for k, v in machine_stamp().items()))
@@ -271,6 +321,9 @@ def measure(args, cls, spec, work_dir) -> int:
         line = (f"# op {label}: {len(rows)} ops, median "
                 f"{statistics.median(t for t, _ in rows):.2f} ms, {len(bad)} failed")
         print(line + (f" ({bad[0].detail})" if bad else ""))
+    if tracer is None:
+        print(f"# host probe {wl.PROBE.__name__}: median {statistics.median(probes) / 1e6:.4f} "
+              f"ms over {len(probes)} probes, reference {wl.PROBE.REF_NS / 1e6:g} ms")
     print(f"fail_ratio {failed / ops:.6f} ratio ({failed} of {ops} ops failed or wrong)")
 
     metrics, notes = {}, {}
@@ -297,7 +350,8 @@ def measure(args, cls, spec, work_dir) -> int:
         who = resource.RUSAGE_SELF if cls.in_process else resource.RUSAGE_CHILDREN
         peak = resource.getrusage(who).ru_maxrss
         setup_times = [probe_setup(args.workload, args.seed) for _ in range(SETUP_PROBES)]
-        values, notes = end_to_end(latencies, busy, setup_times, peak)
+        scale = wl.PROBE.REF_NS / statistics.median(probes)
+        values, notes = end_to_end(latencies, round_busy, setup_times, peak, scale)
         for m in spec["end_to_end"]:
             metrics[m["name"]] = {"value": values[m["name"]], "unit": m["unit"]}
     for name, m in metrics.items():

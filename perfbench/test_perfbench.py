@@ -73,8 +73,32 @@ def test_self_time_on_hand_built_tree():
 def test_every_listed_metric_has_a_rule():
     for m in SPEC["per_layer"]:
         assert run.layer_value(m["name"], {}, 1, 10**9, 0) >= 0
-    values, _ = run.end_to_end([10**6, 2 * 10**6], 3 * 10**6, [0.5], 1024)
+    values, _ = run.end_to_end([10**6, 2 * 10**6], [3 * 10**6], [0.5], 1024, 2.0)
     assert sorted(values) == sorted(m["name"] for m in SPEC["end_to_end"])
+    assert values["latency_p50_ms"] == pytest.approx(3.0)
+    assert values["ops_per_s"] == pytest.approx(2 / 0.003 / 2)
+    assert values["setup_s"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_run_length_is_whole_periods(name):
+    wl = WORKLOADS[name]
+    for seconds in (0.1, 1, 20, 60):
+        rounds = run.rounds_for(wl, seconds)
+        assert rounds >= wl.PERIOD and rounds % wl.PERIOD == 0
+
+
+def test_cli_failures_do_not_depend_on_the_seed(tmp_path):
+    # Every period of cli-oneshot rounds holds each certificate tamper
+    # equally often, so a run's expected failures (the sign_swap tampers
+    # that verify accepts at the seed) are the same for every seed.
+    wl_cls = WORKLOADS["cli-oneshot"]
+    counts = set()
+    for seed in (1, 2, 3):
+        kinds = [d[2] for r in first_rounds("cli-oneshot", seed, tmp_path, wl_cls.PERIOD)
+                 for d in r if d[0] == "verify" and d[1][3] == "certificate"]
+        counts.add(kinds.count("sign_swap"))
+    assert counts == {wl_cls.PERIOD // len(CERT_TAMPERS)}
 
 
 def test_wrappers_record_under_every_caller_name():
@@ -132,7 +156,7 @@ def test_tracing_leaves_outputs_unchanged(name, tmp_path):
         wl.warm()
         undo = spans.install(tracer) if traced else None
         try:
-            *_, digest = run.run_loop(wl, 0, tracer, max_rounds=1)
+            *_, digest = run.run_loop(wl, 1, tracer)
         finally:
             if undo:
                 undo()

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import refimpl
+from hostspeed import ComputeProbe, StartupProbe
 from refimpl import sha
 
 HERE = Path(__file__).resolve().parent
@@ -64,6 +65,9 @@ class ConstructBatch:
     name = "construct-batch"
     in_process = True
     SIZES = (64, 96, 128)
+    PERIOD = 1
+    NOMINAL_ROUND_S = 0.2
+    PROBE = ComputeProbe
     DET_SAMPLE = 0.125  # share of matrices re-checked with refimpl.det
 
     def __init__(self, seed: int, work_dir: Path, tracer=None):
@@ -169,6 +173,10 @@ class CliOneshot:
 
     name = "cli-oneshot"
     in_process = False
+    # Sizes repeat every 2 rounds and certificate tampers every 5.
+    PERIOD = 10
+    NOMINAL_ROUND_S = 2.1
+    PROBE = StartupProbe
 
     def __init__(self, seed: int, work_dir: Path, tracer=None):
         self.rng = random.Random(seed)
@@ -360,6 +368,9 @@ class Spectrum:
     FAMILIES = ((24, 4),) * 4 + ((23, 4), (23, 3), (22, 4), (21, 4)) + ((19, 4),) * 16
     RANDOM_N = 18
     RANDOM_FAMILIES = 9
+    PERIOD = 1
+    NOMINAL_ROUND_S = 5.0
+    PROBE = ComputeProbe
 
     def __init__(self, seed: int, work_dir: Path, tracer=None):
         self.rng = random.Random(seed)
