@@ -18,7 +18,12 @@ from pathlib import Path
 
 import mpmath
 
-from .construction import ConstructionCertificate, construct_matrix, verify_certificate
+from .construction import (
+    _CERT_HEADER,
+    ConstructionCertificate,
+    construct_matrix,
+    verify_certificate,
+)
 from .errors import (
     DependentRowsError,
     EnumerationCapError,
@@ -28,8 +33,6 @@ from .errors import (
 from .exact import IntMatrix, det_exact
 from .fibk import bound_table, fib_prefix
 from .oracle import spectrum_exhaustive, spectrum_family, verify_construction
-
-_CERT_HEADER = "certificate"
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -8,8 +8,18 @@ which provably lands every entry in {0, 1}.  An integer vector orthogonal
 to all rows but the first is computed by recurrence; its leading n-k
 entries are exactly the k-step Fibonacci numbers, which form a complete
 sequence, so a greedy scan picks a 0/1 top row whose determinant is any
-requested value up to the prefix sum.  Every result is re-certified with
-an independent exact determinant before it is returned.
+requested value up to the prefix sum.
+
+Certification is split between the (n, k) rows and the per-target top row.
+Once per (n, k), exact elimination checks det([e_1; R]) = 1 for the
+normalized rows R = rows 2..n, and exact dot products check that the vector
+v is orthogonal to every row of R.  Together these pin v to the first-row
+cofactor vector of R: the unit determinant makes R rank n-1, so its kernel
+is a line holding both v and the cofactors, and both have first entry 1.
+Hence det([t; R]) = v . t for every top row t, and each returned matrix is
+certified by that exact O(n) dot product (negated when the bottom two rows
+are swapped).  Neither check trusts the greedy scan or the Fibonacci
+recurrence.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalInvariantError, TargetOutOfRangeError
-from .exact import IntMatrix, det_exact, is_orthogonal_to_all
+from .exact import IntMatrix, det_exact, dot, is_orthogonal_to_all
 from .fibk import best_k, fib_prefix, theorem_bound
 
 _CERT_HEADER = "certificate"
@@ -228,7 +238,9 @@ class ConstructionCertificate:
             k = int(fields["k"])
             target = int(fields["target"])
             subset = tuple(int(tok) - 1 for tok in fields["subset"].split())
-            sign_swap = bool(int(fields["sign_swap"]))
+            if fields["sign_swap"] not in ("0", "1"):
+                raise ValueError
+            sign_swap = fields["sign_swap"] == "1"
             det = int(fields["det"])
         except KeyError as exc:
             raise ValueError(f"certificate is missing field {exc}") from None
@@ -253,7 +265,9 @@ def _normalized_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple
 
     The determinant of the rows under a unit top row is checked against the
     closed form (-1)^(n-k-1); when it is -1, rows 2 and 3 are exchanged so
-    later subset sums come out with positive sign.
+    later subset sums come out with positive sign.  v is checked to be
+    orthogonal to rows 2..n, which with the unit determinant and v[0] = 1
+    makes v the first-row cofactor vector of those rows (module docstring).
     """
     rows = binary_rows(n, k)
     v = orthogonal_vector(n, k)
@@ -264,6 +278,11 @@ def _normalized_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple
     if d != (-1 if (n - k - 1) % 2 else 1):
         raise InternalInvariantError(
             f"unit-top-row determinant {d} contradicts the closed form for n={n}, k={k}"
+        )
+    if v[0] != 1 or not is_orthogonal_to_all(v, rows[1:]):
+        raise InternalInvariantError(
+            f"orthogonal vector fails v[0] = 1 or orthogonality to rows 2..n "
+            f"for n={n}, k={k}"
         )
     if d == -1:
         rows = (rows[0], rows[2], rows[1]) + rows[3:]
@@ -277,8 +296,10 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
     value up to theorem_bound(n, k).  Negative targets are realized by
     building the positive matrix and swapping its bottom two rows, which
     negates the determinant and keeps every entry 0/1.  The certificate's
-    determinant is recomputed from scratch before returning; a mismatch is
-    an internal error.
+    determinant is the exact dot product of the top row with the cofactor
+    vector certified once per (n, k) (module docstring), negated under the
+    row swap; a mismatch with the target is an internal error.
+    verify_certificate recomputes the full determinant instead.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -298,7 +319,7 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
         built[-1], built[-2] = built[-2], built[-1]
     matrix = IntMatrix.from_rows(built)
 
-    certified = det_exact(matrix)
+    certified = -dot(v, top) if sign_swap else dot(v, top)
     if certified != target:
         raise InternalInvariantError(
             f"certification failed: built determinant {certified}, wanted {target}"
@@ -319,8 +340,10 @@ def verify_certificate(cert: ConstructionCertificate) -> list[str]:
     """Re-check every certificate invariant; returns problems, empty when clean.
 
     Checks binarity, the recomputed determinant, the subset sum against the
-    orthogonal vector, the top row indicator, and orthogonality of the
-    vector to rows 2..n of the stored matrix.
+    orthogonal vector, the top row indicator, orthogonality of the vector to
+    rows 2..n of the stored matrix, and the canonical form of the fields the
+    construction derives: a strictly increasing subset and a sign swap
+    exactly when the target is negative.
     """
     problems = []
     n, k = cert.params.n, cert.params.k
@@ -333,6 +356,13 @@ def verify_certificate(cert: ConstructionCertificate) -> list[str]:
     v = orthogonal_vector(n, k)
     if cert.orthogonal != v:
         problems.append("stored orthogonal vector does not match the (n, k) recurrences")
+    if cert.sign_swap_applied != (cert.target < 0):
+        problems.append(
+            f"sign_swap {int(cert.sign_swap_applied)} but the construction swaps "
+            f"exactly when the target is negative (target {cert.target})"
+        )
+    if any(a >= b for a, b in zip(cert.subset, cert.subset[1:])):
+        problems.append("subset indices are not strictly increasing")
     if not all(0 <= i < n - k for i in cert.subset):
         problems.append(f"subset indices out of range [0, {n - k})")
     else:

@@ -29,7 +29,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        norm = tuple(tuple(int(x) for x in row) for row in self.rows)
+        norm = tuple(tuple(map(int, row)) for row in self.rows)
         n = len(norm)
         if n < 1:
             raise ValueError("matrix must have at least one row")
@@ -46,7 +46,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

@@ -159,11 +159,13 @@ def corollary_bound(n: int) -> int:
     return (1 << n) // (201 * n)
 
 
+@lru_cache(maxsize=None)
 def best_k(n: int) -> int:
     """The step count maximizing theorem_bound(n, k), ties toward smaller k.
 
     Exhaustive over the admissible k in {2, ..., n // 2}; this never does
-    worse than the floor(log2 n) rule and is cheap at desk scale.
+    worse than the floor(log2 n) rule.  Memoized per n, since every
+    construction with a default k asks for it.
     """
     if n < 4:
         raise ValueError(f"need n >= 4 for an admissible k, got {n}")

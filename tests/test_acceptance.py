@@ -64,7 +64,10 @@ def test_criterion_1_exact_range_10_3():
 def test_criterion_2_scaled_sweep():
     t0 = time.perf_counter()
     rng = random.Random(0xB1BD37)
+    # A separate stream picks the re-checked sample, so the targets stay put.
+    sample = random.Random(0x5A3)
     sizes = (8, 12, 16, 24, 32, 48, 64)
+    rechecked = 0
     for n in sizes:
         k = best_k(n)
         bound = theorem_bound(n, k)
@@ -72,9 +75,14 @@ def test_criterion_2_scaled_sweep():
             a = rng.randint(-bound, bound)
             cert = construct_matrix(n, a, k)
             assert cert.certified_det == a, (n, k, a)
+            if sample.random() < 0.02:
+                assert det_exact(cert.matrix) == a, (n, k, a)
+                rechecked += 1
     elapsed = time.perf_counter() - t0
+    assert rechecked >= 70, f"only {rechecked} matrices re-checked"
     assert elapsed < 120.0, f"scaled sweep took {elapsed:.1f}s, limit 120s"
-    _ok(2, f"7000 random targets across n in {sizes} certified ({elapsed:.1f}s)")
+    _ok(2, f"7000 random targets across n in {sizes} certified, {rechecked} "
+           f"re-checked with det_exact ({elapsed:.1f}s)")
 
 
 def test_criterion_3_row_and_orthogonality_grid():

@@ -83,6 +83,19 @@ class TestVerify:
         assert code in (1, 3)
         assert "mismatch" in err
 
+    def test_flipped_sign_swap_is_caught(self, capsys, tmp_path):
+        path = tmp_path / "cert.txt"
+        code, _, _ = run(capsys, "construct", "--n", "10", "--det", "20",
+                         "--out", str(path), "--format", "structured")
+        assert code == 0
+        text = path.read_text()
+        assert "sign_swap 0\n" in text
+        path.write_text(text.replace("sign_swap 0\n", "sign_swap 1\n"))
+        code, out, err = run(capsys, "verify", str(path), "--format", "structured")
+        assert code == 1
+        assert out == ""
+        assert "mismatch" in err and "sign_swap" in err
+
     def test_matrix_file_prints_determinant(self, capsys, tmp_path):
         path = tmp_path / "matrix.txt"
         code, _, _ = run(capsys, "construct", "--n", "9", "--det", "-4",

@@ -1,5 +1,6 @@
 """The construction pipeline: seed, transform, rows, vector, subsets, certificates."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from bindet import (
     ConstructionCertificate,
     IntMatrix,
+    InternalInvariantError,
     TargetOutOfRangeError,
     binarizing_transform,
     binary_rows,
@@ -22,6 +24,7 @@ from bindet import (
     theorem_bound,
     verify_certificate,
 )
+from bindet import construction
 
 
 class TestSeedMatrix:
@@ -226,12 +229,64 @@ class TestConstructMatrix:
         assert det_exact(binary_rows(11, 3)) == -1
         for a in (0, 1, -1, 7, 96, -96):
             cert = construct_matrix(11, a, 3)
-            assert cert.certified_det == a
+            assert cert.certified_det == det_exact(cert.matrix) == a
 
     def test_sweep_small_case(self):
         bound = theorem_bound(8, 2)
         for a in range(-bound, bound + 1):
             assert construct_matrix(8, a, 2).certified_det == a
+
+    def test_corrupted_vector_is_never_certified(self, monkeypatch):
+        # Only the per-(n, k) orthogonality check stands between a wrong
+        # vector and a dot-product certificate that trusts it.
+        real_v, real_fib = construction.orthogonal_vector, construction.fib_prefix
+
+        def wrong_tail(n, k):
+            v = real_v(n, k)
+            return v[:-1] + (v[-1] + 1,)
+
+        def wrong_weight(n, k):
+            # Lower the largest subset weight by one: still a complete
+            # sequence, so the greedy scan uses it and the built matrix's
+            # determinant would be off by one from the claimed value.
+            v = real_v(n, k)
+            j = n - k - 1
+            return v[:j] + (v[j] - 1,) + v[j + 1:]
+
+        def matching_fib(k, m):
+            vals = real_fib(k, m)
+            return vals[:-1] + [vals[-1] - 1]
+
+        cases = [(wrong_tail, real_fib), (wrong_weight, matching_fib)]
+        try:
+            for vector, fib in cases:
+                monkeypatch.setattr(construction, "orthogonal_vector", vector)
+                monkeypatch.setattr(construction, "fib_prefix", fib)
+                for n, k in ((10, 3), (11, 3), (64, 6)):
+                    construction._normalized_rows.cache_clear()
+                    a = -vector(n, k)[n - k - 1]
+                    with pytest.raises(InternalInvariantError, match="orthogonality to rows"):
+                        construct_matrix(n, a, k)
+        finally:
+            construction._normalized_rows.cache_clear()
+
+
+@st.composite
+def admissible_target(draw):
+    k = draw(st.integers(2, 8))
+    n = draw(st.integers(2 * k, 80))
+    bound = theorem_bound(n, k)
+    a = draw(st.integers(-bound, bound))
+    return n, k, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_target())
+def test_dot_product_certificate_matches_full_determinant(case):
+    n, k, a = case
+    cert = construct_matrix(n, a, k)
+    assert cert.certified_det == det_exact(cert.matrix) == a
+    assert cert.sign_swap_applied == (a < 0)
 
 
 class TestCertificateSerialization:
@@ -277,6 +332,32 @@ class TestCertificateSerialization:
         )
         problems = verify_certificate(lying)
         assert any("recomputed" in p or "subset" in p for p in problems)
+
+    def test_verify_rejects_flipped_sign_swap(self):
+        # The swap flag does not change the matrix, so the determinant checks
+        # alone cannot see it; the canonical-form check must.
+        cert = construct_matrix(10, 20, 3)
+        flipped = dataclasses.replace(cert, sign_swap_applied=True)
+        assert any("sign_swap" in p for p in verify_certificate(flipped))
+        unflipped = dataclasses.replace(construct_matrix(10, -20, 3), sign_swap_applied=False)
+        assert any("sign_swap" in p for p in verify_certificate(unflipped))
+
+    def test_verify_rejects_repeated_subset_index(self):
+        cert = construct_matrix(10, 20, 3)
+        doubled = dataclasses.replace(cert, subset=cert.subset[:1] + cert.subset)
+        assert any("strictly increasing" in p for p in verify_certificate(doubled))
+
+    def test_verify_rejects_unsorted_subset(self):
+        cert = construct_matrix(10, 20, 3)
+        assert len(cert.subset) >= 2
+        unsorted = dataclasses.replace(cert, subset=tuple(reversed(cert.subset)))
+        assert any("strictly increasing" in p for p in verify_certificate(unsorted))
+
+    def test_from_text_rejects_sign_swap_other_than_0_or_1(self):
+        text = construct_matrix(10, -20, 3).to_text()
+        assert "sign_swap 1\n" in text
+        with pytest.raises(ValueError, match="malformed"):
+            ConstructionCertificate.from_text(text.replace("sign_swap 1\n", "sign_swap 2\n"))
 
     def test_from_text_rejects_truncated(self):
         text = construct_matrix(10, 3, 3).to_text()
