@@ -1,143 +1,25 @@
-"""Hot enumeration kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Enumeration kernels in vectorized numpy, exact in int64.
 
-Two families of kernels live here, both exact in int64 (callers guarantee
-magnitudes fit):
+Two kernels live here (callers guarantee magnitudes fit):
 
-* exhaustive-spectrum chunks: enumerate every assignment of rows 2..n of a
-  binary matrix (one integer index per assignment, one bit per entry),
-  expand each family's 2^n top rows through the first-row Laplace
-  expansion, and mark every reachable determinant in a shared bitmap;
+* ``exhaustive_chunk``: enumerate rows 2..n of a binary matrix as sorted
+  sets of n-1 distinct row codes, C(2^n, n-1) families ranked in colex
+  order, expand each family's 2^n top rows through the first-row Laplace
+  expansion, and mark every reachable determinant in a shared bitmap.
+  Families with a repeated row are skipped (their determinant is 0) and
+  reordering the rows only flips the sign, so the bitmap covers the full
+  spectrum once the caller closes it under negation;
 
-* family subset sums: given the first-row cofactors of fixed rows 2..n,
+* ``family_bitmap``: given the first-row cofactors of fixed rows 2..n,
   mark every determinant reachable by a 0/1 top row.
-
-The jitted and numpy implementations are deliberately different algorithms
-(per-matrix loops with Gray-code updates vs. vectorized stacked cofactor
-expansion / shift-or sweeps), so their agreement is itself a useful check;
-tests compare them directly.  The module-level names ``exhaustive_chunk``
-and ``family_bitmap`` dispatch to the jitted versions when numba imports
-and the BINDET_NO_NUMBA environment variable is unset.
 """
 
 from __future__ import annotations
 
-import os
+from math import comb
 
 import numpy as np
 
-
-def _env_disabled() -> bool:
-    return os.environ.get("BINDET_NO_NUMBA", "").strip().lower() not in ("", "0", "false")
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    njit = None
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and not _env_disabled()
-
-
-# --------------------------------------------------------------------------
-# loop kernels (compiled with numba when available)
-
-def _det_int64_loops(a):
-    # Fraction-free elimination; intermediates are minors, so they stay exact
-    # in int64 for the sizes this module handles.  Destroys its argument.
-    m = a.shape[0]
-    sign = 1
-    prev = 1
-    for t in range(m - 1):
-        p = t
-        while p < m and a[p, t] == 0:
-            p += 1
-        if p == m:
-            return 0
-        if p != t:
-            for j in range(t, m):
-                tmp = a[t, j]
-                a[t, j] = a[p, j]
-                a[p, j] = tmp
-            sign = -sign
-        piv = a[t, t]
-        for i in range(t + 1, m):
-            ait = a[i, t]
-            for j in range(t + 1, m):
-                a[i, j] = (a[i, j] * piv - a[t, j] * ait) // prev
-            a[i, t] = 0
-        prev = piv
-    return sign * a[m - 1, m - 1]
-
-
-def _make_exhaustive_loops(det):
-    def kernel(n, start, stop, seen):
-        offset = (seen.shape[0] - 1) // 2
-        rows = np.empty((n - 1, n), np.int64)
-        minor = np.empty((n - 1, n - 1), np.int64)
-        cof = np.empty(n, np.int64)
-        seen[offset] = 1
-        for fam in range(start, stop):
-            bits = fam
-            for i in range(n - 1):
-                for j in range(n):
-                    rows[i, j] = bits & 1
-                    bits >>= 1
-            for j in range(n):
-                cj = 0
-                for j2 in range(n):
-                    if j2 != j:
-                        for i in range(n - 1):
-                            minor[i, cj] = rows[i, j2]
-                        cj += 1
-                d = det(minor)
-                cof[j] = d if j % 2 == 0 else -d
-            # Gray-code walk over the 2^n top rows: one cofactor add or
-            # subtract per step.
-            val = 0
-            gray_prev = 0
-            for mask in range(1, 1 << n):
-                gray = mask ^ (mask >> 1)
-                diff = gray ^ gray_prev
-                b = 0
-                while diff > 1:
-                    diff >>= 1
-                    b += 1
-                if gray & (1 << b):
-                    val += cof[b]
-                else:
-                    val -= cof[b]
-                gray_prev = gray
-                seen[val + offset] = 1
-
-    return kernel
-
-
-def _family_bitmap_loops(cof, lo, seen):
-    # Marks seen[s - lo] for every subset sum s of cof.
-    n = cof.shape[0]
-    seen[0 - lo] = 1
-    val = 0
-    gray_prev = 0
-    for mask in range(1, 1 << n):
-        gray = mask ^ (mask >> 1)
-        diff = gray ^ gray_prev
-        b = 0
-        while diff > 1:
-            diff >>= 1
-            b += 1
-        if gray & (1 << b):
-            val += cof[b]
-        else:
-            val -= cof[b]
-        gray_prev = gray
-        seen[val - lo] = 1
-
-
-# --------------------------------------------------------------------------
-# pure-numpy kernels
 
 def _det_stack(mats: np.ndarray) -> np.ndarray:
     """Exact int64 determinants of a (..., m, m) stack by cofactor expansion."""
@@ -158,27 +40,51 @@ def _det_stack(mats: np.ndarray) -> np.ndarray:
     return total
 
 
-def exhaustive_chunk_numpy(n, start, stop, seen, batch=1 << 14):
-    """Vectorized exhaustive chunk: stacked cofactors, then a dense matmul."""
+def family_count(n: int) -> int:
+    """Number of sets of n-1 distinct binary rows of length n."""
+    return comb(1 << n, n - 1)
+
+
+def _unrank(n: int, ranks: np.ndarray) -> np.ndarray:
+    """Row codes c_0 < ... < c_{n-2} with rank sum_i C(c_i, i+1), one set per rank."""
+    codes = np.arange(1 << n, dtype=np.int64)
+    out = np.empty((ranks.size, n - 1), dtype=np.int64)
+    rest = ranks.copy()
+    for i in range(n - 2, -1, -1):
+        # C(c, i+1) is nondecreasing in c, so the largest c with
+        # C(c, i+1) <= rest is found by a sorted search.
+        table = np.array([comb(int(c), i + 1) for c in codes], dtype=np.int64)
+        c = np.searchsorted(table, rest, side="right") - 1
+        out[:, i] = c
+        rest -= table[c]
+    return out
+
+
+def exhaustive_chunk(n, start, stop, seen, batch=1 << 13):
+    """Mark the determinants of the row sets ranked [start, stop).
+
+    seen[d + (len(seen) - 1) // 2] is set for every determinant d; only
+    one sign of each row order is visited, so the caller closes the
+    merged bitmap under negation.
+    """
     offset = (seen.shape[0] - 1) // 2
-    nbits = (n - 1) * n
-    tops = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n, dtype=np.int64)) & 1
+    bits = np.arange(n, dtype=np.int64)
+    tops = (np.arange(1 << n, dtype=np.int64)[:, None] >> bits) & 1
+    minor_cols = [[c for c in range(n) if c != j] for j in range(n)]
     for s in range(start, stop, batch):
         e = min(stop, s + batch)
-        fams = np.arange(s, e, dtype=np.int64)
-        bits = (fams[:, None] >> np.arange(nbits, dtype=np.int64)) & 1
-        rows = bits.reshape(-1, n - 1, n)
+        codes = _unrank(n, np.arange(s, e, dtype=np.int64))
+        rows = (codes[:, :, None] >> bits) & 1
         cof = np.empty((e - s, n), dtype=np.int64)
-        for j in range(n):
-            cols = [c for c in range(n) if c != j]
+        for j, cols in enumerate(minor_cols):
             d = _det_stack(rows[:, :, cols])
             cof[:, j] = d if j % 2 == 0 else -d
         dets = cof @ tops.T
         seen[dets.ravel() + offset] = 1
 
 
-def family_bitmap_numpy(cof, lo, seen):
-    """Subset-sum reachability by shift-or sweeps over the bitmap."""
+def family_bitmap(cof, lo, seen):
+    """Subset-sum reachability by shift-or sweeps: seen[s - lo] for every subset sum s."""
     seen[0 - lo] = 1
     for c in cof:
         c = int(c)
@@ -187,19 +93,3 @@ def family_bitmap_numpy(cof, lo, seen):
             seen[c:] |= seen[:-c].copy()
         elif c < 0:
             seen[:c] |= seen[-c:].copy()
-
-
-# --------------------------------------------------------------------------
-# dispatch
-
-if NUMBA_ENABLED:
-    _det_int64 = njit(cache=True, nogil=True)(_det_int64_loops)
-    exhaustive_chunk_jit = njit(cache=True, nogil=True)(_make_exhaustive_loops(_det_int64))
-    family_bitmap_jit = njit(cache=True, nogil=True)(_family_bitmap_loops)
-    exhaustive_chunk = exhaustive_chunk_jit
-    family_bitmap = family_bitmap_jit
-else:
-    exhaustive_chunk_jit = None
-    family_bitmap_jit = None
-    exhaustive_chunk = exhaustive_chunk_numpy
-    family_bitmap = family_bitmap_numpy

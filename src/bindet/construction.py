@@ -35,6 +35,7 @@ from .exact import IntMatrix, det_exact, dot, is_orthogonal_to_all
 from .fibk import best_k, fib_prefix, theorem_bound
 
 _CERT_HEADER = "certificate"
+_CERT_FIELDS = ("n", "k", "target", "subset", "sign_swap", "det")
 
 
 @dataclass(frozen=True)
@@ -219,6 +220,11 @@ class ConstructionCertificate:
 
     @classmethod
     def from_text(cls, text: str) -> "ConstructionCertificate":
+        """Parse the document to_text writes; anything else raises ValueError.
+
+        Unknown or repeated fields and integers not written in canonical
+        decimal (no sign on positives, no leading zeros) are rejected.
+        """
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != _CERT_HEADER:
             raise ValueError("not a certificate document")
@@ -226,13 +232,25 @@ class ConstructionCertificate:
         idx = 1
         while idx < len(lines) and lines[idx] != "matrix":
             key, _, value = lines[idx].partition(" ")
+            if key not in _CERT_FIELDS:
+                raise ValueError(f"certificate has an unknown field {key!r}")
+            if key in fields:
+                raise ValueError(f"certificate repeats field {key!r}")
             fields[key] = value
             idx += 1
         if idx == len(lines):
             raise ValueError("certificate has no matrix section")
         if lines[-1] != "end":
             raise ValueError("certificate is not terminated with 'end'")
-        matrix = IntMatrix.from_text("\n".join(lines[idx + 1:-1]))
+        for key in _CERT_FIELDS:
+            if key not in fields:
+                raise ValueError(f"certificate is missing field {key!r}")
+        matrix_lines = lines[idx + 1:-1]
+        tokens = {tok for ln in matrix_lines for tok in ln.split()}
+        tokens.update(tok for value in fields.values() for tok in value.split())
+        if not all(_is_canonical_int(tok) for tok in tokens):
+            raise ValueError("certificate has a malformed field value")
+        matrix = IntMatrix.from_text("\n".join(matrix_lines))
         try:
             n = int(fields["n"])
             k = int(fields["k"])
@@ -242,8 +260,6 @@ class ConstructionCertificate:
                 raise ValueError
             sign_swap = fields["sign_swap"] == "1"
             det = int(fields["det"])
-        except KeyError as exc:
-            raise ValueError(f"certificate is missing field {exc}") from None
         except ValueError:
             raise ValueError("certificate has a malformed field value") from None
         params = ConstructionParams(n, k)
@@ -257,6 +273,14 @@ class ConstructionCertificate:
             matrix=matrix,
             certified_det=det,
         )
+
+
+def _is_canonical_int(tok: str) -> bool:
+    """True when tok is an integer written exactly as str(int) writes it."""
+    try:
+        return str(int(tok)) == tok
+    except ValueError:
+        return False
 
 
 @lru_cache(maxsize=64)

@@ -1,11 +1,12 @@
 """Independent ground truth: brute-force spectra and direct verifiers.
 
-The exhaustive oracle enumerates every binary matrix of a given size and
-reports the exact set of determinants it reaches; the family oracle does
-the same for the 2^n matrices sharing fixed rows 2..n.  Both expand the
-free top row through the first-row Laplace expansion, which is an exact
-determinant identity for any rows, so the enumeration kernels only ever
-do 64-bit integer work (magnitudes are pre-checked).
+The exhaustive oracle reports the exact set of determinants reached by
+every binary matrix of a given size; the family oracle does the same for
+the 2^n matrices sharing fixed rows 2..n.  Both expand the free top row
+through the first-row Laplace expansion, which is an exact determinant
+identity for any rows, so the enumeration kernels only ever do 64-bit
+integer work (magnitudes are pre-checked).  Both reports are read straight
+off the kernels' value bitmaps.
 
 None of this shares an elimination path with the construction module's
 certification, which is the point: agreement between the two is evidence,
@@ -74,14 +75,18 @@ def smallest_missing_natural(values: Iterable[int]) -> int:
     return d
 
 
-def _report(n: int, mode: str, values: Sequence[int], t0: float) -> SpectrumReport:
-    vals = tuple(sorted(int(v) for v in values))
+def _report(n: int, mode: str, seen: np.ndarray, lo: int, t0: float) -> SpectrumReport:
+    """Report of the values v with seen[v - lo] set; the bitmap must cover 0."""
+    values = tuple((np.flatnonzero(seen) + lo).tolist())
+    # The least missing natural is the first zero at or after the cell for 1.
+    missing = np.flatnonzero(seen[1 - lo:] == 0)
+    d = 1 + int(missing[0]) if missing.size else lo + seen.size
     return SpectrumReport(
         n=n,
         mode=mode,
-        values=vals,
-        d=smallest_missing_natural(vals),
-        count=len(vals),
+        values=values,
+        d=d,
+        count=len(values),
         elapsed=time.perf_counter() - t0,
     )
 
@@ -91,11 +96,15 @@ def spectrum_exhaustive(
 ) -> SpectrumReport:
     """Exact determinant spectrum over all 2^(n^2) binary n x n matrices.
 
-    Work is partitioned into 2^ceil(log2 workers) contiguous blocks of the
-    row-2..n bit space and merged by bitmap union, so the result is
-    identical for every worker count.  n above the cap is refused unless
-    force is given; the cap default of 5 is the largest desk-scale size
-    (2^25 families).
+    Rows 2..n are enumerated as sets of n-1 distinct binary rows,
+    C(2^n, n-1) families instead of 2^(n(n-1)) row assignments: a repeated
+    row gives determinant 0, which the zero top row reaches anyway, and
+    reordering the rows only flips the sign, so the union over the sets,
+    closed under negation, is the whole spectrum.  The family ranks are
+    split into 2^ceil(log2 workers) contiguous blocks and merged by bitmap
+    union, so the result is identical for every worker count.  n above the
+    cap is refused unless force is given; the cap default of 5 is the
+    largest size the tests run (C(32, 4) = 35,960 families).
     """
     t0 = time.perf_counter()
     if n < 1:
@@ -108,39 +117,37 @@ def spectrum_exhaustive(
             f"(~{2.0 ** (n * n):.2e}); cap is n={cap}, pass force to override"
         )
     if n == 1:
-        return _report(1, "exhaustive", (0, 1), t0)
+        return _report(1, "exhaustive", np.ones(2, dtype=np.uint8), 0, t0)
 
     # |det| <= n! bounds every reachable value, so a flat bitmap suffices.
     offset = math.factorial(n)
-    total = 1 << (n * (n - 1))
-    nchunks = 1 << (workers - 1).bit_length()
-    nchunks = min(nchunks, total)
-    step = total // nchunks
-    spans = [(i * step, (i + 1) * step) for i in range(nchunks)]
+    total = _kernels.family_count(n)
+    nchunks = min(1 << (workers - 1).bit_length(), total)
+    blocks = [(i * total // nchunks, (i + 1) * total // nchunks) for i in range(nchunks)]
 
-    def run(span):
+    def run(block):
         seen = np.zeros(2 * offset + 1, dtype=np.uint8)
-        _kernels.exhaustive_chunk(n, span[0], span[1], seen)
+        _kernels.exhaustive_chunk(n, block[0], block[1], seen)
         return seen
 
     if workers == 1:
-        results = [run(span) for span in spans]
+        results = [run(block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, spans))
+            results = list(pool.map(run, blocks))
     merged = results[0]
     for seen in results[1:]:
         merged |= seen
-    values = [int(i) - offset for i in np.flatnonzero(merged)]
-    return _report(n, "exhaustive", values, t0)
+    merged |= merged[::-1]
+    return _report(n, "exhaustive", merged, -offset, t0)
 
 
 def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
     """Determinants over all 2^n top rows above the given fixed rows 2..n.
 
     The cofactors of the fixed rows are computed exactly, then every subset
-    sum is enumerated.  Cofactor magnitudes and the reachable value range
-    must fit the 64-bit kernels; binary rows at n <= 30 always do.
+    sum is marked in a bitmap.  Cofactor magnitudes and the reachable value
+    range must fit the 64-bit kernels; binary rows at n <= 30 always do.
     """
     t0 = time.perf_counter()
     rows = [tuple(int(x) for x in r) for r in rows]
@@ -167,8 +174,7 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
         )
     seen = np.zeros(size, dtype=np.uint8)
     _kernels.family_bitmap(np.array(cof, dtype=np.int64), lo, seen)
-    values = [int(i) + lo for i in np.flatnonzero(seen)]
-    return _report(n, "family", values, t0)
+    return _report(n, "family", seen, lo, t0)
 
 
 def verify_laplace_identity(

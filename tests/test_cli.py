@@ -96,6 +96,25 @@ class TestVerify:
         assert out == ""
         assert "mismatch" in err and "sign_swap" in err
 
+    @pytest.mark.parametrize("old, new", [
+        ("det 20\n", "det 20\nbogus 1\n"),
+        ("det 20\n", "det 20\ndet 20\n"),
+        ("target 20\n", "target +020\n"),
+        ("target 20\n", "target 20\ntarget 20\n"),
+    ])
+    def test_non_canonical_certificate_is_rejected(self, capsys, tmp_path, old, new):
+        path = tmp_path / "cert.txt"
+        code, _, _ = run(capsys, "construct", "--n", "10", "--det", "20",
+                         "--out", str(path), "--format", "structured")
+        assert code == 0
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, "verify", str(path), "--format", "structured")
+        assert code == 1
+        assert out == ""
+        assert "malformed certificate" in err and "Traceback" not in err
+
     def test_matrix_file_prints_determinant(self, capsys, tmp_path):
         path = tmp_path / "matrix.txt"
         code, _, _ = run(capsys, "construct", "--n", "9", "--det", "-4",

@@ -291,9 +291,10 @@ def test_dot_product_certificate_matches_full_determinant(case):
 
 class TestCertificateSerialization:
     def test_round_trip(self):
-        cert = construct_matrix(10, -29, 3)
-        parsed = ConstructionCertificate.from_text(cert.to_text())
-        assert parsed == cert
+        for a in (-29, 0):  # 0 writes an empty subset line
+            cert = construct_matrix(10, a, 3)
+            parsed = ConstructionCertificate.from_text(cert.to_text())
+            assert parsed == cert
 
     def test_verify_clean(self):
         cert = construct_matrix(12, 100, 4)  # bound at (12, 4) is 116
@@ -358,6 +359,25 @@ class TestCertificateSerialization:
         assert "sign_swap 1\n" in text
         with pytest.raises(ValueError, match="malformed"):
             ConstructionCertificate.from_text(text.replace("sign_swap 1\n", "sign_swap 2\n"))
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("det 20\n", "det 20\nbogus 1\n", "unknown field 'bogus'"),
+        ("det 20\n", "det 20\ndet 20\n", "repeats field 'det'"),
+        ("n 10\n", "n 10\nn 10\n", "repeats field 'n'"),
+        ("target 20\n", "target +020\n", "malformed"),
+        ("target 20\n", "target 020\n", "malformed"),
+        ("det 20\n", "det 2_0\n", "malformed"),
+        ("n 10\n", "n +10\n", "malformed"),
+        ("subset ", "subset 0", "malformed"),
+        ("matrix\n10\n", "matrix\n010\n", "malformed"),
+        ("matrix\n10\n0", "matrix\n10\n-0", "malformed"),
+        ("k 2\n", "", "missing field 'k'"),
+    ])
+    def test_from_text_rejects_non_canonical_documents(self, old, new, match):
+        text = construct_matrix(10, 20, 2).to_text()
+        assert old in text
+        with pytest.raises(ValueError, match=match):
+            ConstructionCertificate.from_text(text.replace(old, new, 1))
 
     def test_from_text_rejects_truncated(self):
         text = construct_matrix(10, 3, 3).to_text()

@@ -1,64 +1,59 @@
-"""The jitted and pure-numpy kernels must agree; the env flag must switch paths."""
+"""The enumeration kernels against plain enumerations and against themselves."""
 
-import os
+import itertools
+import math
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from bindet import _kernels, det_exact
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba unavailable or disabled"
-)
+from bindet import _kernels, det_exact, spectrum_exhaustive
 
 
-def run_exhaustive(kernel, n, nchunks=1):
-    import math
-
+def run_exhaustive(n, blocks):
+    """Determinants marked by exhaustive_chunk over the given rank blocks."""
     offset = math.factorial(n)
     seen = np.zeros(2 * offset + 1, dtype=np.uint8)
-    total = 1 << (n * (n - 1))
-    step = total // nchunks
-    for i in range(nchunks):
-        kernel(n, i * step, (i + 1) * step, seen)
+    for start, stop in blocks:
+        _kernels.exhaustive_chunk(n, start, stop, seen)
     return set(int(i) - offset for i in np.flatnonzero(seen))
 
 
-def run_family(kernel, cof):
+def run_family(cof):
     lo = sum(c for c in cof if c < 0)
     hi = sum(c for c in cof if c > 0)
     seen = np.zeros(hi - lo + 1, dtype=np.uint8)
-    kernel(np.array(cof, dtype=np.int64), lo, seen)
+    _kernels.family_bitmap(np.array(cof, dtype=np.int64), lo, seen)
     return set(int(i) + lo for i in np.flatnonzero(seen))
 
 
-@needs_numba
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_exhaustive_paths_agree(n):
-    jit = run_exhaustive(_kernels.exhaustive_chunk_jit, n)
-    plain = run_exhaustive(_kernels.exhaustive_chunk_numpy, n)
-    assert jit == plain
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exhaustive_matches_plain_enumeration(n):
+    # Every one of the 2^(n^2) matrices through the arbitrary-precision
+    # elimination, with no row sets, no Laplace expansion and no negation.
+    direct = set()
+    for bits in itertools.product((0, 1), repeat=n * n):
+        direct.add(det_exact([bits[i * n:(i + 1) * n] for i in range(n)]))
+    assert spectrum_exhaustive(n).values == tuple(sorted(direct))
 
 
-@needs_numba
-def test_exhaustive_jit_chunked_equals_whole(n=3):
-    assert run_exhaustive(_kernels.exhaustive_chunk_jit, n, nchunks=4) == run_exhaustive(
-        _kernels.exhaustive_chunk_jit, n, nchunks=1
-    )
+def test_exhaustive_uneven_split_equals_whole():
+    n = 4
+    total = _kernels.family_count(n)
+    assert total == math.comb(16, 3)
+    cuts = [0, 1, 2, 37, 38, 250, total - 1, total]
+    blocks = list(zip(cuts, cuts[1:]))
+    whole = run_exhaustive(n, [(0, total)])
+    assert run_exhaustive(n, blocks) == whole
+    # One sign of each row order: the negation closure is the caller's.
+    assert whole | {-v for v in whole} == set(range(-3, 4))
 
 
-@needs_numba
-def test_family_paths_agree():
-    rng = random.Random(17)
-    for _ in range(50):
-        n = rng.randint(1, 12)
-        cof = [rng.randint(-40, 40) for _ in range(n)]
-        assert run_family(_kernels.family_bitmap_jit, cof) == run_family(
-            _kernels.family_bitmap_numpy, cof
-        )
+def test_unrank_enumerates_each_row_set_once():
+    n = 4
+    codes = _kernels._unrank(n, np.arange(_kernels.family_count(n), dtype=np.int64))
+    sets = [tuple(row) for row in codes.tolist()]
+    assert sorted(sets) == list(itertools.combinations(range(1 << n), n - 1))
 
 
 def test_family_numpy_against_direct_subsets():
@@ -69,7 +64,7 @@ def test_family_numpy_against_direct_subsets():
         expect = set()
         for mask in range(1 << n):
             expect.add(sum(c for i, c in enumerate(cof) if mask >> i & 1))
-        assert run_family(_kernels.family_bitmap_numpy, cof) == expect
+        assert run_family(cof) == expect
 
 
 def test_det_stack_matches_exact():
@@ -79,42 +74,3 @@ def test_det_stack_matches_exact():
         dets = _kernels._det_stack(mats)
         for mat, d in zip(mats, dets):
             assert int(d) == det_exact([tuple(int(x) for x in row) for row in mat])
-
-
-def test_env_flag_forces_numpy_path():
-    env = dict(os.environ, BINDET_NO_NUMBA="1")
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import bindet._kernels as k;"
-            "print(k.NUMBA_ENABLED, k.exhaustive_chunk is k.exhaustive_chunk_numpy)",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.split() == ["False", "True"]
-
-
-def test_fallback_spectrum_matches_default():
-    # Full-stack run on the numpy path in a subprocess, compared with the
-    # in-process default path.
-    from bindet import spectrum_exhaustive
-
-    expect = spectrum_exhaustive(3).values
-    env = dict(os.environ, BINDET_NO_NUMBA="1")
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from bindet import spectrum_exhaustive;"
-            "print(*spectrum_exhaustive(3).values)",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert tuple(int(tok) for tok in out.stdout.split()) == expect

@@ -3,13 +3,18 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bindet import _kernels, oracle
 from bindet import (
     DependentRowsError,
     EnumerationCapError,
     best_k,
     binary_rows,
+    cofactor_vector,
     det_exact,
     smallest_missing_natural,
     spectrum_exhaustive,
@@ -55,9 +60,12 @@ class TestSpectrumExhaustive:
         assert r.d == 4
 
     def test_worker_partitioning_is_deterministic(self):
-        expect = spectrum_exhaustive(3, workers=1).values
-        for workers in (2, 3, 4, 8):
-            assert spectrum_exhaustive(3, workers=workers).values == expect
+        # At n=4 the 560 row sets do not split into equal power-of-two blocks.
+        for n in (3, 4):
+            expect = spectrum_exhaustive(n, workers=1)
+            for workers in (2, 3, 4, 8):
+                r = spectrum_exhaustive(n, workers=workers)
+                assert (r.values, r.d, r.count) == (expect.values, expect.d, expect.count)
 
     def test_shared_invariants(self):
         for n in range(2, 5):
@@ -83,6 +91,50 @@ class TestSpectrumExhaustive:
         assert "values -1 0 1" in text
         assert text.endswith("end\n")
         assert "values" not in r.to_text(include_values=False)
+
+
+def _bitmap_report(cof):
+    lo = sum(c for c in cof if c < 0)
+    hi = sum(c for c in cof if c > 0)
+    seen = np.zeros(hi - lo + 1, dtype=np.uint8)
+    _kernels.family_bitmap(np.array(cof, dtype=np.int64), lo, seen)
+    return oracle._report(len(cof), "family", seen, lo, 0.0)
+
+
+def _subset_sums(cof):
+    return sorted({sum(c for c, b in zip(cof, mask) if b)
+                   for mask in itertools.product((0, 1), repeat=len(cof))})
+
+
+class TestReportFromBitmap:
+    """values and d read off the bitmap against a plain subset-sum enumeration."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=9))
+    def test_random_cofactors(self, cof):
+        r = _bitmap_report(cof)
+        expect = _subset_sums(cof)
+        assert r.values == tuple(expect)
+        assert r.count == len(expect)
+        assert r.d == smallest_missing_natural(expect)
+
+    def test_every_natural_up_to_hi_is_reachable(self):
+        r = _bitmap_report([1, 2, 4, -3])
+        assert r.values == tuple(range(-3, 8))
+        assert r.d == 8 == smallest_missing_natural(r.values)
+
+    @pytest.mark.parametrize("cof", [[-1, -2], [0, -5, 0], [-3]])
+    def test_nonpositive_cofactors(self, cof):
+        r = _bitmap_report(cof)
+        assert r.values == tuple(_subset_sums(cof))
+        assert r.d == 1
+
+    def test_dependent_rows(self):
+        assert not any(cofactor_vector([(1, 1, 0), (1, 1, 0)]))
+        r = spectrum_family([(1, 1, 0), (1, 1, 0)])
+        assert r.values == (0,)
+        assert r.d == 1 and r.count == 1
+        assert _bitmap_report([0, 0, 0]).values == (0,)
 
 
 class TestSpectrumFamily:
