@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Sequence
-
-import numpy as np
 
 from .errors import InternalInvariantError, TargetOutOfRangeError
 from .exact import IntMatrix, det_exact, dot, is_orthogonal_to_all
@@ -96,39 +95,23 @@ def binarizing_transform(n: int, k: int) -> IntMatrix:
 def binary_rows(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Rows of the binarized product: all entries 0/1, top row e_1.
 
-    Computed two ways (matrix product, and the row-sum formula
-    r_i = s_i + s_{i+k} + ...) and compared entrywise; a disagreement or an
-    entry outside {0, 1} is an internal error, since the binarity of these
-    rows is exactly what the whole construction rests on.
+    Computed with the row-sum formula r_i = s_i + s_{i+k} + ... over the
+    seed rows s, as suffix sums r_i = s_i + r_{i+k} in plain ints.  An entry
+    outside {0, 1} is an internal error, since the binarity of these rows is
+    exactly what the whole construction rests on.  oracle.verify_construction
+    checks the formula against the matrix product with binarizing_transform.
     """
-    seed = seed_matrix(n, k)
-    trans = binarizing_transform(n, k)
-    # Entries are sums of at most n terms in {-1, 0, 1}; int64 is exact here.
-    m = np.array(seed.rows, dtype=np.int64)
-    t = np.array(trans.rows, dtype=np.int64)
-    product = t @ m
-
-    summed = np.zeros_like(m)
-    summed[0] = m[0]
-    for i in range(2, n + 1):
-        acc = np.zeros(n, dtype=np.int64)
-        j = i
-        while j <= n:
-            acc += m[j - 1]
-            j += k
-        summed[i - 1] = acc
-
-    if not (product == summed).all():
-        raise InternalInvariantError(
-            f"row-sum formula disagrees with the matrix product for n={n}, k={k}"
-        )
-    if not ((product == 0) | (product == 1)).all():
-        bad = np.argwhere((product != 0) & (product != 1))[0]
-        raise InternalInvariantError(
-            f"binarized row entry out of {{0,1}} at {tuple(int(x) for x in bad)} "
-            f"for n={n}, k={k}"
-        )
-    return tuple(tuple(int(x) for x in row) for row in product)
+    seed = seed_matrix(n, k).rows
+    rows = list(seed)
+    for i in range(n - 1 - k, 0, -1):
+        rows[i] = tuple(map(add, seed[i], rows[i + k]))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x != 0 and x != 1:
+                raise InternalInvariantError(
+                    f"binarized row entry out of {{0,1}} at {(i, j)} for n={n}, k={k}"
+                )
+    return tuple(rows)
 
 
 def orthogonal_vector(n: int, k: int) -> tuple[int, ...]:
@@ -190,17 +173,16 @@ def greedy_subset(weights: Sequence[int], target: int) -> tuple[int, ...]:
 class ConstructionCertificate:
     """Full witness of one synthesis, re-checkable without trusting the builder.
 
-    subset holds 0-based positions into the orthogonal vector; the text
+    subset holds 0-based positions into orthogonal_vector(n, k); the text
     serialization writes them 1-based.  sign_swap_applied records whether
     the bottom two rows were exchanged to negate the determinant for a
-    negative target.
+    negative target.  Nothing derivable is stored: the vector comes from
+    (n, k) and the top row is matrix.rows[0].
     """
 
     params: ConstructionParams
     target: int
-    orthogonal: tuple[int, ...]
     subset: tuple[int, ...]
-    top_row: tuple[int, ...]
     sign_swap_applied: bool
     matrix: IntMatrix
     certified_det: int
@@ -262,13 +244,10 @@ class ConstructionCertificate:
             det = int(fields["det"])
         except ValueError:
             raise ValueError("certificate has a malformed field value") from None
-        params = ConstructionParams(n, k)
         return cls(
-            params=params,
+            params=ConstructionParams(n, k),
             target=target,
-            orthogonal=orthogonal_vector(n, k),
             subset=subset,
-            top_row=matrix.rows[0],
             sign_swap_applied=sign_swap,
             matrix=matrix,
             certified_det=det,
@@ -283,33 +262,43 @@ def _is_canonical_int(tok: str) -> bool:
         return False
 
 
+def _lower_rows(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 2..n of every matrix constructed at (n, k), before any sign swap.
+
+    binary_rows(n, k)[1:] with rows 2 and 3 exchanged when the closed form
+    (-1)^(n-k-1) of their unit-top-row determinant is -1, so that
+    det([e_1; R]) = 1 and subset sums come out with positive sign.
+    """
+    rows = binary_rows(n, k)[1:]
+    if (n - k - 1) % 2:
+        rows = (rows[1], rows[0]) + rows[2:]
+    return rows
+
+
 @lru_cache(maxsize=64)
 def _normalized_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
-    """Binarized rows normalized to unit determinant, with v and the range bound.
+    """Rows 2..n normalized to unit determinant, with v and the range bound.
 
-    The determinant of the rows under a unit top row is checked against the
-    closed form (-1)^(n-k-1); when it is -1, rows 2 and 3 are exchanged so
-    later subset sums come out with positive sign.  v is checked to be
-    orthogonal to rows 2..n, which with the unit determinant and v[0] = 1
-    makes v the first-row cofactor vector of those rows (module docstring).
+    The determinant of the rows under a unit top row is checked to be 1,
+    confirming the closed form.  v is checked to be orthogonal to the rows,
+    which with the unit determinant and v[0] = 1 makes v their first-row
+    cofactor vector (module docstring).
     """
-    rows = binary_rows(n, k)
+    rows = _lower_rows(n, k)
     v = orthogonal_vector(n, k)
     bound = theorem_bound(n, k)
     if list(v[:n - k]) != fib_prefix(k, n - k):
         raise InternalInvariantError("orthogonal vector prefix is not the k-step sequence")
-    d = det_exact(rows)
-    if d != (-1 if (n - k - 1) % 2 else 1):
+    d = det_exact([(1,) + (0,) * (n - 1), *rows])
+    if d != 1:
         raise InternalInvariantError(
             f"unit-top-row determinant {d} contradicts the closed form for n={n}, k={k}"
         )
-    if v[0] != 1 or not is_orthogonal_to_all(v, rows[1:]):
+    if v[0] != 1 or not is_orthogonal_to_all(v, rows):
         raise InternalInvariantError(
             f"orthogonal vector fails v[0] = 1 or orthogonality to rows 2..n "
             f"for n={n}, k={k}"
         )
-    if d == -1:
-        rows = (rows[0], rows[2], rows[1]) + rows[3:]
     return rows, v, bound
 
 
@@ -337,7 +326,7 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
     subset = greedy_subset(v[:n - k], abs(target))
     members = set(subset)
     top = tuple(1 if j in members else 0 for j in range(n))
-    built = [top, *rows[1:]]
+    built = [top, *rows]
     sign_swap = target < 0
     if sign_swap:
         built[-1], built[-2] = built[-2], built[-1]
@@ -351,9 +340,7 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
     return ConstructionCertificate(
         params=params,
         target=target,
-        orthogonal=v,
         subset=subset,
-        top_row=top,
         sign_swap_applied=sign_swap,
         matrix=matrix,
         certified_det=certified,
@@ -363,11 +350,12 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
 def verify_certificate(cert: ConstructionCertificate) -> list[str]:
     """Re-check every certificate invariant; returns problems, empty when clean.
 
-    Checks binarity, the recomputed determinant, the subset sum against the
-    orthogonal vector, the top row indicator, orthogonality of the vector to
-    rows 2..n of the stored matrix, and the canonical form of the fields the
-    construction derives: a strictly increasing subset and a sign swap
-    exactly when the target is negative.
+    Checks binarity, the recomputed determinant, the subset sum against
+    orthogonal_vector(n, k), the top row indicator, rows 2..n against the
+    (n, k) construction rows (bottom two exchanged exactly under sign_swap),
+    orthogonality of the vector to rows 2..n of the stored matrix, and the
+    canonical form of the fields the construction derives: a strictly
+    increasing subset and a sign swap exactly when the target is negative.
     """
     problems = []
     n, k = cert.params.n, cert.params.k
@@ -378,8 +366,6 @@ def verify_certificate(cert: ConstructionCertificate) -> list[str]:
         problems.append("matrix entries are not all 0/1")
 
     v = orthogonal_vector(n, k)
-    if cert.orthogonal != v:
-        problems.append("stored orthogonal vector does not match the (n, k) recurrences")
     if cert.sign_swap_applied != (cert.target < 0):
         problems.append(
             f"sign_swap {int(cert.sign_swap_applied)} but the construction swaps "
@@ -396,8 +382,11 @@ def verify_certificate(cert: ConstructionCertificate) -> list[str]:
     expected_top = tuple(1 if j in set(cert.subset) else 0 for j in range(n))
     if cert.matrix.rows[0] != expected_top:
         problems.append("matrix top row is not the subset indicator")
-    if cert.top_row != expected_top:
-        problems.append("stored top row is not the subset indicator")
+    lower = list(_lower_rows(n, k))
+    if cert.sign_swap_applied:
+        lower[-1], lower[-2] = lower[-2], lower[-1]
+    if list(cert.matrix.rows[1:]) != lower:
+        problems.append(f"rows 2..n are not the construction rows for n={n}, k={k}")
     # Row swaps permute but never change the set of non-top rows, so
     # orthogonality must hold on the stored matrix regardless of the flags.
     if not is_orthogonal_to_all(v, cert.matrix.rows[1:]):

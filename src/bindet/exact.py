@@ -1,9 +1,12 @@
 """Exact linear algebra over arbitrary-precision integers.
 
-Determinants and cofactors use fraction-free (Bareiss) single-step
-elimination: every intermediate value is a minor of the input matrix, so
-all interior divisions are exact and no rational arithmetic is needed.
-Entries are Python ints end to end; results are exact at any magnitude.
+Determinants and cofactors share one fraction-free (Bareiss) single-step
+elimination routine, ``_eliminate``: every intermediate value is a minor of
+the input matrix, so all interior divisions are exact and no rational
+arithmetic is needed.  ``det_exact`` eliminates the square matrix itself;
+``cofactor_vector`` stacks the n unit rows below its n-1 rows and carries
+them through the same pivot chain.  Entries are Python ints end to end;
+results are exact at any magnitude.
 
 Elimination runs on object-dtype numpy arrays so the elementwise big-int
 work happens in C-level loops rather than Python-level ones.
@@ -17,9 +20,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InternalInvariantError
-
-# Rows and vectors are plain tuples of Python ints.
-IntVector = tuple
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,6 @@ class IntMatrix:
         return cls(tuple(rows))
 
 
-def _as_object_array(rows) -> np.ndarray:
-    return np.array([[int(x) for x in row] for row in rows], dtype=object)
-
-
 def _exact_div(arr: np.ndarray, d) -> np.ndarray:
     """Divide elementwise, insisting the division is remainder-free."""
     if d == 1:
@@ -115,10 +111,44 @@ def _exact_div(arr: np.ndarray, d) -> np.ndarray:
     return q
 
 
-def _rows_of(m) -> list[tuple[int, ...]]:
-    if isinstance(m, IntMatrix):
-        return list(m.rows)
-    return [tuple(int(x) for x in row) for row in m]
+def _eliminate(rows: Sequence[Sequence[int]], m: int):
+    """Fraction-free elimination that pivots only on rows[:m].
+
+    Per column, the first nonzero among the unused rows of rows[:m] is the
+    pivot (a column without one is skipped), and every row below it, rows[m:]
+    included, is eliminated through the same pivot chain.  Returns the sign
+    of the row swaps, the pivot columns and the reduced object array, or None
+    when rows[:m] have rank below m.
+    """
+    a = np.array([[int(x) for x in row] for row in rows], dtype=object)
+    width = a.shape[1]
+    sign = 1
+    prev = 1
+    pivots: list[int] = []
+    # Columns left of both the first skipped column (lo) and the current one
+    # are pivot columns, zero in every row below the pivot.
+    lo = width
+    for c in range(width):
+        t = len(pivots)
+        if t == m:
+            break
+        nz = np.flatnonzero(a[t:m, c] != 0)
+        if nz.size == 0:
+            if c + 1 - t > width - m:
+                return None  # too few columns left for m pivots
+            lo = min(lo, c)
+            continue
+        p = t + int(nz[0])
+        if p != t:
+            a[[t, p]] = a[[p, t]]
+            sign = -sign
+        piv = a[t, c]
+        s = min(lo, c)
+        sub = a[t + 1:, s:] * piv - np.outer(a[t + 1:, c], a[t, s:])
+        a[t + 1:, s:] = _exact_div(sub, prev)
+        pivots.append(c)
+        prev = piv
+    return sign, pivots, a
 
 
 def det_exact(m: "IntMatrix | Sequence[Sequence[int]]") -> int:
@@ -128,26 +158,14 @@ def det_exact(m: "IntMatrix | Sequence[Sequence[int]]") -> int:
     Interior divisions are asserted remainder-free; a failure there raises
     InternalInvariantError (it would mean a bug, not bad input).
     """
-    rows = _rows_of(m)
+    rows = m.rows if isinstance(m, IntMatrix) else m
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
-    a = _as_object_array(rows)
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        nz = np.flatnonzero(a[t:, t] != 0)
-        if nz.size == 0:
-            return 0
-        p = t + int(nz[0])
-        if p != t:
-            a[[t, p]] = a[[p, t]]
-            sign = -sign
-        piv = a[t, t]
-        sub = a[t + 1:, t + 1:] * piv - np.outer(a[t + 1:, t], a[t, t + 1:])
-        a[t + 1:, t + 1:] = _exact_div(sub, prev)
-        a[t + 1:, t] = 0
-        prev = piv
+    reduced = _eliminate(rows, n)
+    if reduced is None:
+        return 0
+    sign, _, a = reduced
     return int(sign * a[-1, -1])
 
 
@@ -167,53 +185,24 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     result is orthogonal to every input row; dependent rows yield the zero
     vector, which callers must detect.
 
-    Runs in O(n^3): one fraction-free echelon pass over the rows, then all n
-    unit top rows are eliminated simultaneously through the shared pivot
-    chain.
+    Runs in O(n^3): the n unit rows are stacked below the given rows and
+    carried through their pivot chain in one elimination pass.
     """
-    rows = [tuple(int(x) for x in row) for row in rows]
     m = len(rows)
     n = m + 1
     if any(len(r) != n for r in rows):
         raise ValueError(f"need {m} rows of length {m + 1}")
-
-    ech = _as_object_array(rows)
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    t = 0
-    for c in range(n):
-        if t == m:
-            break
-        nz = np.flatnonzero(ech[t:, c] != 0)
-        if nz.size == 0:
-            continue
-        p = t + int(nz[0])
-        if p != t:
-            ech[[t, p]] = ech[[p, t]]
-            sign = -sign
-        if t + 1 < m:
-            sub = ech[t + 1:] * ech[t, c] - np.outer(ech[t + 1:, c], ech[t])
-            ech[t + 1:] = _exact_div(sub, prev)
-        pivots.append(c)
-        prev = ech[t, c]
-        t += 1
-    if t < m:
+    reduced = _eliminate([*rows, *IntMatrix.identity(n).rows], m)
+    if reduced is None:
         return (0,) * n
-
-    # Eliminate all n unit vectors through the pivot chain at once.  Row j of
-    # w ends up carrying det([rows; e_j]) in the single non-pivot column.
+    sign, pivots, a = reduced
+    # Unit row j ends up carrying det([rows; e_j]) in the single non-pivot
+    # column j0.  det([e_j; rows]) = (-1)^(n-1) det([rows; e_j]); moving the
+    # pivot columns in front costs a further (-1)^(n-1-j0), so the net
+    # factor is (-1)^j0.
     j0 = next(c for c in range(n) if c not in set(pivots))
-    w = np.identity(n, dtype=object)
-    prev = 1
-    for t, c in enumerate(pivots):
-        piv = ech[t, c]
-        w = _exact_div(w * piv - np.outer(w[:, c], ech[t]), prev)
-        prev = piv
-    # det([e_j; rows]) = (-1)^(n-1) det([rows; e_j]); moving the pivot columns
-    # in front costs a further (-1)^(n-1-j0), so the net factor is (-1)^j0.
     s = sign * (-1 if j0 % 2 else 1)
-    return tuple(int(s * w[j, j0]) for j in range(n))
+    return tuple(int(s * a[m + j, j0]) for j in range(n))
 
 
 def is_orthogonal_to_all(v: Sequence[int], rows: Iterable[Sequence[int]]) -> bool:

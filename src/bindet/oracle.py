@@ -8,9 +8,10 @@ identity for any rows, so the enumeration kernels only ever do 64-bit
 integer work (magnitudes are pre-checked).  Both reports are read straight
 off the kernels' value bitmaps.
 
-None of this shares an elimination path with the construction module's
-certification, which is the point: agreement between the two is evidence,
-not tautology.
+spectrum_family takes its cofactors from exact.cofactor_vector, which
+shares one elimination routine with det_exact.  The independent paths are
+the int64 _det_stack kernels of the exhaustive oracle, det_permsum in the
+tests and perfbench/refimpl.py, which does not import bindet.
 """
 
 from __future__ import annotations
@@ -250,12 +251,12 @@ def verify_construction(
 ) -> ConstructionCheckReport:
     """Re-derive and test every claimed property of the construction at (n, k).
 
-    Checks: all binarized entries in {0,1}; the row-sum formula against the
-    matrix product; orthogonality of the recurrence vector to rows 2..n of
-    both the seed and the binarized matrix; the unit-top-row determinant
-    being (-1)^(n-k-1); and a full (or sampled, above sweep_limit) sweep of
-    targets through construct_matrix with exact certification.  Failures
-    are reported, not raised.
+    Checks: all binarized entries in {0,1}; binary_rows' row-sum formula
+    against the matrix product; orthogonality of the recurrence vector to
+    rows 2..n of both the seed and the binarized matrix; the unit-top-row
+    determinant being (-1)^(n-k-1); and a full (or sampled, above
+    sweep_limit) sweep of targets through construct_matrix with exact
+    certification.  Failures are reported, not raised.
     """
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
@@ -273,12 +274,13 @@ def verify_construction(
         detail = f"entry ({i + 1}, {j + 1}) = {int(product[i, j])}"
     checks.append(CheckResult("binary_entries", ok, detail))
 
+    rows = tuple(map(tuple, product.tolist()))
     try:
-        rows = binary_rows(n, k)
-        checks.append(CheckResult("row_formula_agreement", True))
+        ok = binary_rows(n, k) == rows
+        detail = "" if ok else "row-sum formula disagrees with the matrix product"
     except InternalInvariantError as exc:
-        rows = tuple(tuple(int(x) for x in r) for r in product)
-        checks.append(CheckResult("row_formula_agreement", False, str(exc)))
+        ok, detail = False, str(exc)
+    checks.append(CheckResult("row_formula_agreement", ok, detail))
 
     v = orthogonal_vector(n, k)
     ok = is_orthogonal_to_all(v, seed_rows[1:])

@@ -96,6 +96,24 @@ class TestVerify:
         assert out == ""
         assert "mismatch" in err and "sign_swap" in err
 
+    def test_permuted_lower_rows_are_caught(self, capsys, tmp_path):
+        # Swapping matrix rows 3<->4 and 5<->6 keeps the determinant and the
+        # orthogonality, but the construction never writes those rows.
+        path = tmp_path / "cert.txt"
+        code, _, _ = run(capsys, "construct", "--n", "10", "--det", "20",
+                         "--out", str(path), "--format", "structured")
+        assert code == 0
+        lines = path.read_text().splitlines()
+        row = lines.index("matrix") + 1  # lines[row + i] is matrix row i
+        for i, j in ((3, 4), (5, 6)):
+            lines[row + i], lines[row + j] = lines[row + j], lines[row + i]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", str(path), "--format", "structured")
+        assert code == 1
+        assert out == ""
+        assert "mismatch: rows 2..n are not the construction rows" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("old, new", [
         ("det 20\n", "det 20\nbogus 1\n"),
         ("det 20\n", "det 20\ndet 20\n"),

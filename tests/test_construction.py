@@ -90,6 +90,19 @@ class TestBinaryRows:
         assert rows[1] == expect
         assert set(expect) <= {0, 1}
 
+    def test_entry_outside_0_1_is_an_internal_error(self, monkeypatch):
+        real_seed = construction.seed_matrix
+
+        def bad_seed(n, k):
+            # r_2 = s_2 + s_5 + s_8, so a 2 in s_2 survives into r_2.
+            rows = [list(r) for r in real_seed(n, k).rows]
+            rows[1][0] = 2
+            return IntMatrix.from_rows(rows)
+
+        monkeypatch.setattr(construction, "seed_matrix", bad_seed)
+        with pytest.raises(InternalInvariantError, match=r"out of \{0,1\} at \(1, 0\)"):
+            binary_rows(10, 3)
+
     def test_all_entries_binary_on_a_grid(self):
         for k in range(2, 7):
             for n in range(2 * k, 41):
@@ -216,12 +229,13 @@ class TestConstructMatrix:
     def test_certificate_invariants(self):
         cert = construct_matrix(11, -30, 3)
         n, k = cert.params.n, cert.params.k
-        assert sum(cert.orthogonal[i] for i in cert.subset) == 30
-        assert cert.top_row == tuple(
+        v = orthogonal_vector(n, k)
+        assert sum(v[i] for i in cert.subset) == 30
+        assert cert.matrix.rows[0] == tuple(
             1 if j in set(cert.subset) else 0 for j in range(n)
         )
         assert all(i < n - k for i in cert.subset)
-        assert is_orthogonal_to_all(cert.orthogonal, cert.matrix.rows[1:])
+        assert is_orthogonal_to_all(v, cert.matrix.rows[1:])
 
     def test_negative_unit_determinant_branch(self):
         # n - k - 1 odd makes the raw unit-top-row determinant -1, forcing
@@ -310,9 +324,7 @@ class TestCertificateSerialization:
         mutated = ConstructionCertificate(
             params=cert.params,
             target=cert.target,
-            orthogonal=cert.orthogonal,
             subset=cert.subset,
-            top_row=cert.top_row,
             sign_swap_applied=cert.sign_swap_applied,
             matrix=IntMatrix.from_rows(rows),
             certified_det=cert.certified_det,
@@ -324,9 +336,7 @@ class TestCertificateSerialization:
         lying = ConstructionCertificate(
             params=cert.params,
             target=22,
-            orthogonal=cert.orthogonal,
             subset=cert.subset,
-            top_row=cert.top_row,
             sign_swap_applied=cert.sign_swap_applied,
             matrix=cert.matrix,
             certified_det=22,
@@ -342,6 +352,24 @@ class TestCertificateSerialization:
         assert any("sign_swap" in p for p in verify_certificate(flipped))
         unflipped = dataclasses.replace(construct_matrix(10, -20, 3), sign_swap_applied=False)
         assert any("sign_swap" in p for p in verify_certificate(unflipped))
+
+    @pytest.mark.parametrize("n, a, swaps", [
+        (10, 20, ((2, 3), (4, 5))),  # rows 3<->4 and 5<->6
+        (11, -30, ((1, 2), (3, 4))),  # undoes the row-2/3 exchange at odd n-k-1
+        (12, 7, ((1, 3), (3, 6))),
+    ])
+    def test_verify_rejects_permuted_lower_rows(self, n, a, swaps):
+        # An even permutation of rows 2..n keeps the determinant and the
+        # orthogonality, so only the tie to the construction rows sees it.
+        cert = construct_matrix(n, a, 3)
+        rows = list(cert.matrix.rows)
+        for i, j in swaps:
+            rows[i], rows[j] = rows[j], rows[i]
+        permuted = dataclasses.replace(cert, matrix=IntMatrix.from_rows(rows))
+        assert det_exact(permuted.matrix) == a
+        assert verify_certificate(permuted) == [
+            f"rows 2..n are not the construction rows for n={n}, k=3"
+        ]
 
     def test_verify_rejects_repeated_subset_index(self):
         cert = construct_matrix(10, 20, 3)

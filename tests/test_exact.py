@@ -187,6 +187,47 @@ def test_det_matches_permutation_sum(rows):
     assert det_exact(rows) == det_permsum(rows)
 
 
+def cofactors_permsum(rows):
+    """Independent oracle: signed first-row minors by permutation sums."""
+    n = len(rows) + 1
+    return tuple(
+        (-1) ** j * det_permsum([r[:j] + r[j + 1:] for r in rows]) for j in range(n)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * n), min_size=n - 1, max_size=n - 1
+    )
+))
+def test_cofactors_match_permutation_minors(rows):
+    assert cofactor_vector(rows) == cofactors_permsum(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 1, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1)],  # non-pivot column first
+    [(0, 2, -1), (0, 1, 3)],
+    [(1, 0, 0, 5), (0, 1, 0, 7), (0, 0, 1, 2)],  # non-pivot column last
+    [(2, 1, -3), (1, 1, 1)],
+    [(1, 2, 0, 3), (2, 4, 1, 1), (0, 0, 3, -2)],  # non-pivot column in between
+])
+def test_cofactors_at_each_non_pivot_position(rows):
+    cof = cofactor_vector(rows)
+    assert cof == cofactors_permsum(rows)
+    assert any(cof)
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 2, 3, 4), (2, 4, 6, 8), (0, 1, 1, 0)],
+    [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)],  # two columns without a pivot
+    [(0, 0, 0), (0, 0, 0)],
+])
+def test_rank_deficient_rows_give_zero_cofactors(rows):
+    assert cofactor_vector(rows) == (0,) * (len(rows) + 1)
+    assert cofactors_permsum(rows) == (0,) * (len(rows) + 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(square_int_matrix(), st.randoms(use_true_random=False))
 def test_laplace_identity_any_top_row(rows, rnd):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bindet import _kernels, oracle
+from bindet import _kernels, construction, oracle
 from bindet import (
     DependentRowsError,
     EnumerationCapError,
+    IntMatrix,
     best_k,
     binary_rows,
     cofactor_vector,
@@ -228,6 +229,41 @@ class TestVerifyConstruction:
         report = verify_construction(24, best_k(24), sweep_limit=64, sample=40)
         assert report.all_passed
         assert report.targets_swept == 40
+
+    def test_row_formula_disagreement_is_reported(self, monkeypatch):
+        # binary_rows is compared with the product of the transform and the
+        # seed; rows that are still binary but differ must fail only that check.
+        def swapped_rows(n, k):
+            rows = binary_rows(n, k)
+            return (rows[0], rows[2], rows[1]) + rows[3:]
+
+        monkeypatch.setattr(oracle, "binary_rows", swapped_rows)
+        report = verify_construction(10, 3)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert failed == {
+            "row_formula_agreement": "row-sum formula disagrees with the matrix product"
+        }
+
+    def test_row_formula_raise_is_reported(self, monkeypatch):
+        # A seed that makes binary_rows leave {0, 1} is a finding in the
+        # report, never an exception out of verify_construction.
+        real_seed = construction.seed_matrix
+
+        def bad_seed(n, k):
+            rows = [list(r) for r in real_seed(n, k).rows]
+            rows[1][0] = 2
+            return IntMatrix.from_rows(rows)
+
+        monkeypatch.setattr(construction, "seed_matrix", bad_seed)
+        construction._normalized_rows.cache_clear()
+        try:
+            report = verify_construction(10, 3)
+        finally:
+            construction._normalized_rows.cache_clear()
+        check = next(c for c in report.checks if c.name == "row_formula_agreement")
+        assert not check.passed
+        assert "out of {0,1}" in check.detail
+        assert not report.all_passed
 
     def test_report_text(self):
         text = verify_construction(8, 2).to_text()
