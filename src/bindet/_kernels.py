@@ -20,6 +20,8 @@ from math import comb
 
 import numpy as np
 
+_BATCH = 1 << 13  # row sets per exhaustive_chunk batch
+
 
 def _det_stack(mats: np.ndarray) -> np.ndarray:
     """Exact int64 determinants of a (..., m, m) stack by cofactor expansion."""
@@ -60,7 +62,7 @@ def _unrank(n: int, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
-def exhaustive_chunk(n, start, stop, seen, batch=1 << 13):
+def exhaustive_chunk(n, start, stop, seen):
     """Mark the determinants of the row sets ranked [start, stop).
 
     seen[d + (len(seen) - 1) // 2] is set for every determinant d; only
@@ -71,8 +73,8 @@ def exhaustive_chunk(n, start, stop, seen, batch=1 << 13):
     bits = np.arange(n, dtype=np.int64)
     tops = (np.arange(1 << n, dtype=np.int64)[:, None] >> bits) & 1
     minor_cols = [[c for c in range(n) if c != j] for j in range(n)]
-    for s in range(start, stop, batch):
-        e = min(stop, s + batch)
+    for s in range(start, stop, _BATCH):
+        e = min(stop, s + _BATCH)
         codes = _unrank(n, np.arange(s, e, dtype=np.int64))
         rows = (codes[:, :, None] >> bits) & 1
         cof = np.empty((e - s, n), dtype=np.int64)

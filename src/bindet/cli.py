@@ -30,7 +30,7 @@ from .errors import (
     InternalInvariantError,
     TargetOutOfRangeError,
 )
-from .exact import IntMatrix, det_exact
+from .exact import IntMatrix, det_exact, parse_rows
 from .fibk import bound_table, fib_prefix
 from .oracle import spectrum_exhaustive, spectrum_family, verify_construction
 
@@ -67,8 +67,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 1
-    stripped = text.lstrip()
-    if stripped.startswith(_CERT_HEADER):
+    if text.lstrip().startswith(_CERT_HEADER):
         try:
             cert = ConstructionCertificate.from_text(text)
         except ValueError as exc:
@@ -79,19 +78,18 @@ def cmd_verify(args) -> int:
             for p in problems:
                 print(f"mismatch: {p}", file=sys.stderr)
             return 1
-        if args.format == "pretty":
-            print(f"certificate ok: n={cert.params.n} k={cert.params.k} det={cert.certified_det}")
-        else:
-            sys.stdout.write(f"verify\nstatus ok\ndet {cert.certified_det}\nend\n")
-        return 0
-    try:
-        matrix = IntMatrix.from_text(text)
-    except ValueError as exc:
-        print(f"malformed matrix: {exc}", file=sys.stderr)
-        return 1
-    det = det_exact(matrix)
+        det = cert.certified_det
+        summary = f"certificate ok: n={cert.params.n} k={cert.params.k} det={det}"
+    else:
+        try:
+            matrix = IntMatrix.from_text(text)
+        except ValueError as exc:
+            print(f"malformed matrix: {exc}", file=sys.stderr)
+            return 1
+        det = det_exact(matrix)
+        summary = f"matrix is {matrix.n}x{matrix.n}, det = {det}"
     if args.format == "pretty":
-        print(f"matrix is {matrix.n}x{matrix.n}, det = {det}")
+        print(summary)
     else:
         sys.stdout.write(f"verify\nstatus ok\ndet {det}\nend\n")
     return 0
@@ -136,34 +134,12 @@ def cmd_fib(args) -> int:
     return 0
 
 
-def _parse_rows_file(path: str) -> list[tuple[int, ...]]:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("rows file is empty")
-    try:
-        m = int(lines[0])
-    except ValueError:
-        raise ValueError(f"rows file must start with the row count, got {lines[0]!r}") from None
-    if len(lines) != m + 1:
-        raise ValueError(f"expected {m} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            row = tuple(int(tok) for tok in ln.split())
-        except ValueError:
-            raise ValueError(f"non-integer entry in row {ln!r}") from None
-        if len(row) != m + 1:
-            raise ValueError(f"rows must have {m + 1} entries, found {len(row)}")
-        rows.append(row)
-    return rows
-
-
 def cmd_spectrum(args) -> int:
     if args.n is not None:
         report = spectrum_exhaustive(args.n, workers=args.workers, force=args.force)
     else:
         try:
-            rows = _parse_rows_file(args.rows)
+            rows = parse_rows(Path(args.rows).read_text(), extra=1)
         except OSError as exc:
             print(f"error: cannot read {args.rows}: {exc}", file=sys.stderr)
             return 1

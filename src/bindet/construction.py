@@ -275,6 +275,16 @@ def _lower_rows(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
+def _assemble(lower, subset: Sequence[int], sign_swap: bool) -> list[tuple[int, ...]]:
+    """The subset indicator over the lower rows, bottom two exchanged under sign_swap."""
+    n = len(lower) + 1
+    members = set(subset)
+    rows = [tuple(1 if j in members else 0 for j in range(n)), *lower]
+    if sign_swap:
+        rows[-1], rows[-2] = rows[-2], rows[-1]
+    return rows
+
+
 @lru_cache(maxsize=64)
 def _normalized_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
     """Rows 2..n normalized to unit determinant, with v and the range bound.
@@ -324,12 +334,9 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
         raise TargetOutOfRangeError(n, k, target, bound)
 
     subset = greedy_subset(v[:n - k], abs(target))
-    members = set(subset)
-    top = tuple(1 if j in members else 0 for j in range(n))
-    built = [top, *rows]
     sign_swap = target < 0
-    if sign_swap:
-        built[-1], built[-2] = built[-2], built[-1]
+    built = _assemble(rows, subset, sign_swap)
+    top = built[0]
     matrix = IntMatrix.from_rows(built)
 
     certified = -dot(v, top) if sign_swap else dot(v, top)
@@ -379,13 +386,10 @@ def verify_certificate(cert: ConstructionCertificate) -> list[str]:
         ssum = sum(v[i] for i in cert.subset)
         if ssum != abs(cert.target):
             problems.append(f"subset sums to {ssum}, expected |target| = {abs(cert.target)}")
-    expected_top = tuple(1 if j in set(cert.subset) else 0 for j in range(n))
-    if cert.matrix.rows[0] != expected_top:
+    expected = _assemble(_lower_rows(n, k), cert.subset, cert.sign_swap_applied)
+    if cert.matrix.rows[0] != expected[0]:
         problems.append("matrix top row is not the subset indicator")
-    lower = list(_lower_rows(n, k))
-    if cert.sign_swap_applied:
-        lower[-1], lower[-2] = lower[-2], lower[-1]
-    if list(cert.matrix.rows[1:]) != lower:
+    if list(cert.matrix.rows[1:]) != expected[1:]:
         problems.append(f"rows 2..n are not the construction rows for n={n}, k={k}")
     # Row swaps permute but never change the set of non-top rows, so
     # orthogonality must hold on the stored matrix regardless of the flags.

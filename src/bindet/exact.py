@@ -74,27 +74,36 @@ class IntMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "IntMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty matrix text")
+        return cls(parse_rows(text))
+
+
+def parse_rows(text: str, extra: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Rows of the shared text format: a count m, then m lines of m + extra integers.
+
+    Matrix files use extra = 0 and rows files, the n-1 rows below a free top
+    row, extra = 1.  Blank lines are ignored; anything else raises ValueError.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("text is empty")
+    try:
+        m = int(lines[0])
+    except ValueError:
+        raise ValueError(f"text must start with the row count, got {lines[0]!r}") from None
+    if m < 1:
+        raise ValueError(f"row count must be positive, got {m}")
+    if len(lines) != m + 1:
+        raise ValueError(f"expected {m} rows, found {len(lines) - 1}")
+    rows = []
+    for ln in lines[1:]:
         try:
-            n = int(lines[0])
+            row = tuple(int(tok) for tok in ln.split())
         except ValueError:
-            raise ValueError(f"matrix text must start with the size, got {lines[0]!r}") from None
-        if n < 1:
-            raise ValueError(f"matrix size must be positive, got {n}")
-        if len(lines) != n + 1:
-            raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
-        rows = []
-        for ln in lines[1:]:
-            try:
-                row = tuple(int(tok) for tok in ln.split())
-            except ValueError:
-                raise ValueError(f"non-integer matrix entry in line {ln!r}") from None
-            if len(row) != n:
-                raise ValueError(f"expected {n} entries per row, found {len(row)}")
-            rows.append(row)
-        return cls(tuple(rows))
+            raise ValueError(f"non-integer entry in row {ln!r}") from None
+        if len(row) != m + extra:
+            raise ValueError(f"expected {m + extra} entries per row, found {len(row)}")
+        rows.append(row)
+    return tuple(rows)
 
 
 def _exact_div(arr: np.ndarray, d) -> np.ndarray:

@@ -24,6 +24,7 @@ from mpmath import mpf, workprec
 from .errors import InternalInvariantError
 
 _MAX_PRECISION_BITS = 1 << 14
+_BASE_BITS = 128  # default working precision, and the dyadic scale of fib_lower_bound_check
 
 
 def _check_k(k: int) -> None:
@@ -90,18 +91,18 @@ def alpha_k(k: int, tol: float | None = None) -> mpf:
     """
     _check_k(k)
     if tol is None:
-        prec = 128
+        prec = _BASE_BITS
     else:
         tol = mpf(tol)
         if tol <= 0:
             raise ValueError("tol must be positive")
-        prec = max(128, int(-mpmath.log(tol, 2)) + 24)
+        prec = max(_BASE_BITS, int(-mpmath.log(tol, 2)) + 24)
     lo, hi = _alpha_bracket(k, prec)
     with workprec(prec):
         return (lo + hi) / 2
 
 
-def fib_closed_form(k: int, j: int, precision: int = 128) -> int:
+def fib_closed_form(k: int, j: int) -> int:
     """F_k(j) via the rounded power formula alpha^(j-1) (alpha-1) / (k(alpha-2)+alpha).
 
     The nearest-integer rounding is certified with a 0.25 margin; if the
@@ -116,9 +117,9 @@ def fib_closed_form(k: int, j: int, precision: int = 128) -> int:
         raise ValueError(f"index j must be positive, got {j}")
     if j == 1:
         return 1
-    prec = max(64, precision)
+    prec = _BASE_BITS
     while prec <= _MAX_PRECISION_BITS:
-        lo, hi = _alpha_bracket(k, max(prec, 128))
+        lo, hi = _alpha_bracket(k, prec)
         with workprec(prec):
             a = (lo + hi) / 2
             val = a ** (j - 1) * (a - 1) / (k * (a - 2) + a)
@@ -132,7 +133,7 @@ def fib_closed_form(k: int, j: int, precision: int = 128) -> int:
     )
 
 
-def fib_lower_bound_check(k: int, n: int, scale_bits: int = 128) -> bool:
+def fib_lower_bound_check(k: int, n: int) -> bool:
     """Certified check that 5 F_k(n) > alpha_k^n (requires k >= 2, n >= 8).
 
     Conservative direction: alpha_k is replaced by a dyadic upper bound
@@ -143,10 +144,10 @@ def fib_lower_bound_check(k: int, n: int, scale_bits: int = 128) -> bool:
     if n < 8:
         raise ValueError(f"the bound only holds for n >= 8, got {n}")
     f = fib_k(k, n)
-    _, hi = _alpha_bracket(k, scale_bits + 64)
-    with workprec(scale_bits + 64):
-        u = int(mpmath.floor(hi * mpf(2) ** scale_bits)) + 1
-    return 5 * f * (1 << (scale_bits * n)) > u ** n
+    _, hi = _alpha_bracket(k, _BASE_BITS + 64)
+    with workprec(_BASE_BITS + 64):
+        u = int(mpmath.floor(hi * mpf(2) ** _BASE_BITS)) + 1
+    return 5 * f * (1 << (_BASE_BITS * n)) > u ** n
 
 
 def corollary_bound(n: int) -> int:

@@ -5,8 +5,9 @@ every binary matrix of a given size; the family oracle does the same for
 the 2^n matrices sharing fixed rows 2..n.  Both expand the free top row
 through the first-row Laplace expansion, which is an exact determinant
 identity for any rows, so the enumeration kernels only ever do 64-bit
-integer work (magnitudes are pre-checked).  Both reports are read straight
-off the kernels' value bitmaps.
+integer work (magnitudes are pre-checked).  A report is the kernels'
+value bitmap itself: the count and the least missing natural d are read
+off it, and the value tuple is only built when it is asked for.
 
 spectrum_family takes its cofactors from exact.cofactor_vector, which
 shares one elimination routine with det_exact.  The independent paths are
@@ -17,10 +18,12 @@ tests and perfbench/refimpl.py, which does not import bindet.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,21 +40,39 @@ from .errors import DependentRowsError, EnumerationCapError, InternalInvariantEr
 from .exact import cofactor_vector, det_exact, dot, is_orthogonal_to_all
 from .fibk import theorem_bound
 
+_EXHAUSTIVE_MAX_N = 5
 _FAMILY_MAX_N = 30
 _FAMILY_MAX_CELLS = 1 << 28
 _INT64_GUARD = 1 << 62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Achieved determinants of one enumeration, with derived statistics."""
+    """Determinants reached by one enumeration, held as their bitmap.
+
+    seen[v - lo] is set exactly for the reached values v, and lo <= 0.  count
+    and d are read off the bitmap; the values tuple is built on first access.
+    """
 
     n: int
     mode: str
-    values: tuple[int, ...]
-    d: int
-    count: int
+    seen: np.ndarray
+    lo: int
     elapsed: float
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        return tuple((np.flatnonzero(self.seen) + self.lo).tolist())
+
+    @property
+    def count(self) -> int:
+        return int(np.count_nonzero(self.seen))
+
+    @property
+    def d(self) -> int:
+        # The least missing natural: the first zero at or after the cell for 1.
+        missing = np.flatnonzero(self.seen[1 - self.lo:] == 0)
+        return 1 + int(missing[0]) if missing.size else self.lo + self.seen.size
 
     def to_text(self, include_values: bool = True) -> str:
         lines = [
@@ -76,25 +97,7 @@ def smallest_missing_natural(values: Iterable[int]) -> int:
     return d
 
 
-def _report(n: int, mode: str, seen: np.ndarray, lo: int, t0: float) -> SpectrumReport:
-    """Report of the values v with seen[v - lo] set; the bitmap must cover 0."""
-    values = tuple((np.flatnonzero(seen) + lo).tolist())
-    # The least missing natural is the first zero at or after the cell for 1.
-    missing = np.flatnonzero(seen[1 - lo:] == 0)
-    d = 1 + int(missing[0]) if missing.size else lo + seen.size
-    return SpectrumReport(
-        n=n,
-        mode=mode,
-        values=values,
-        d=d,
-        count=len(values),
-        elapsed=time.perf_counter() - t0,
-    )
-
-
-def spectrum_exhaustive(
-    n: int, cap: int = 5, workers: int = 1, force: bool = False
-) -> SpectrumReport:
+def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> SpectrumReport:
     """Exact determinant spectrum over all 2^(n^2) binary n x n matrices.
 
     Rows 2..n are enumerated as sets of n-1 distinct binary rows,
@@ -102,45 +105,47 @@ def spectrum_exhaustive(
     row gives determinant 0, which the zero top row reaches anyway, and
     reordering the rows only flips the sign, so the union over the sets,
     closed under negation, is the whole spectrum.  The family ranks are
-    split into 2^ceil(log2 workers) contiguous blocks and merged by bitmap
-    union, so the result is identical for every worker count.  n above the
-    cap is refused unless force is given; the cap default of 5 is the
-    largest size the tests run (C(32, 4) = 35,960 families).
+    split into min(workers, CPU count, families) contiguous blocks, one
+    thread and one bitmap each, and merged by bitmap union, so the result
+    is identical for every worker count.  n above _EXHAUSTIVE_MAX_N = 5,
+    the largest size the tests run (C(32, 4) = 35,960 families), is
+    refused unless force is given.
     """
     t0 = time.perf_counter()
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    if n > cap and not force:
+    if n > _EXHAUSTIVE_MAX_N and not force:
         raise EnumerationCapError(
             f"exhaustive enumeration at n={n} means 2^{n * n} matrices "
-            f"(~{2.0 ** (n * n):.2e}); cap is n={cap}, pass force to override"
+            f"(~{2.0 ** (n * n):.2e}); cap is n={_EXHAUSTIVE_MAX_N}, pass force to override"
         )
     if n == 1:
-        return _report(1, "exhaustive", np.ones(2, dtype=np.uint8), 0, t0)
+        return SpectrumReport(1, "exhaustive", np.ones(2, dtype=np.uint8), 0,
+                              time.perf_counter() - t0)
 
     # |det| <= n! bounds every reachable value, so a flat bitmap suffices.
     offset = math.factorial(n)
     total = _kernels.family_count(n)
-    nchunks = min(1 << (workers - 1).bit_length(), total)
-    blocks = [(i * total // nchunks, (i + 1) * total // nchunks) for i in range(nchunks)]
+    nblocks = min(workers, os.cpu_count() or 1, total)
+    blocks = [(i * total // nblocks, (i + 1) * total // nblocks) for i in range(nblocks)]
 
     def run(block):
         seen = np.zeros(2 * offset + 1, dtype=np.uint8)
         _kernels.exhaustive_chunk(n, block[0], block[1], seen)
         return seen
 
-    if workers == 1:
+    if nblocks == 1:
         results = [run(block) for block in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=nblocks) as pool:
             results = list(pool.map(run, blocks))
     merged = results[0]
     for seen in results[1:]:
         merged |= seen
     merged |= merged[::-1]
-    return _report(n, "exhaustive", merged, -offset, t0)
+    return SpectrumReport(n, "exhaustive", merged, -offset, time.perf_counter() - t0)
 
 
 def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
@@ -149,15 +154,12 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
     The cofactors of the fixed rows are computed exactly, then every subset
     sum is marked in a bitmap.  Cofactor magnitudes and the reachable value
     range must fit the 64-bit kernels; binary rows at n <= 30 always do.
+    Rows of the wrong shape raise ValueError from cofactor_vector.
     """
     t0 = time.perf_counter()
-    rows = [tuple(int(x) for x in r) for r in rows]
-    m = len(rows)
-    n = m + 1
-    if m < 1:
+    n = len(rows) + 1
+    if n < 2:
         raise ValueError("need at least one fixed row")
-    if any(len(r) != n for r in rows):
-        raise ValueError(f"need {m} rows of length {m + 1}")
     if n > _FAMILY_MAX_N:
         raise EnumerationCapError(
             f"family enumeration at n={n} means 2^{n} top rows; cap is n={_FAMILY_MAX_N}"
@@ -175,7 +177,7 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
         )
     seen = np.zeros(size, dtype=np.uint8)
     _kernels.family_bitmap(np.array(cof, dtype=np.int64), lo, seen)
-    return _report(n, "family", seen, lo, t0)
+    return SpectrumReport(n, "family", seen, lo, time.perf_counter() - t0)
 
 
 def verify_laplace_identity(
@@ -183,11 +185,11 @@ def verify_laplace_identity(
     trials: int = 100,
     rng: "random.Random | int | None" = None,
 ) -> bool:
-    """Check det([r1; rows]) = c * (v . r1) on random binary top rows.
+    """Check det([r1; rows]) = v . r1 on random binary top rows.
 
-    v is the exact cofactor vector of the rows and c is derived from the
-    unit-top-row determinant at the first index where v is nonzero, so the
-    check exercises the determinant path against the cofactor path.
+    v is the exact cofactor vector of the rows, so the identity holds with
+    no scale factor: each trial checks one full determinant elimination
+    against the cofactor path, and a wrong sign or scale in either fails.
     Linearly dependent rows raise DependentRowsError, a distinct outcome
     from a failed identity.
     """
@@ -196,17 +198,11 @@ def verify_laplace_identity(
     v = cofactor_vector(rows)
     if not any(v):
         raise DependentRowsError("rows are linearly dependent; the identity needs rank n-1")
-    k0 = next(i for i, x in enumerate(v) if x != 0)
-    unit = tuple(1 if j == k0 else 0 for j in range(n))
-    d = det_exact([unit, *rows])
-    c, rem = divmod(d, v[k0])
-    if rem != 0:
-        raise InternalInvariantError("unit-row determinant is not a multiple of the cofactor")
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
     for _ in range(trials):
         r1 = tuple(rng.randint(0, 1) for _ in range(n))
-        if det_exact([r1, *rows]) != c * dot(v, r1):
+        if det_exact([r1, *rows]) != dot(v, r1):
             return False
     return True
 

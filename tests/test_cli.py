@@ -210,6 +210,25 @@ class TestSpectrum:
         assert code == 1
         assert "malformed rows file" in err
 
+    @pytest.mark.parametrize("command, text, prefix", [
+        ("spectrum", "2\n0 1 x\n0 0 1\n", "malformed rows file: non-integer"),
+        ("spectrum", "2\n0 1 0\n0 0 1\n1 1 1\n", "malformed rows file: expected 2 rows"),
+        ("spectrum", "2\n0 1\n0 0 1\n", "malformed rows file: expected 3 entries"),
+        ("verify", "2\n0 x\n1 0\n", "malformed matrix: non-integer"),
+        ("verify", "2\n0 1\n", "malformed matrix: expected 2 rows"),
+        ("verify", "2\n0 1 1\n1 0\n", "malformed matrix: expected 2 entries"),
+    ], ids=["rows-token", "rows-count", "rows-width",
+            "matrix-token", "matrix-count", "matrix-width"])
+    def test_malformed_rows_and_matrix_files(self, capsys, tmp_path, command, text, prefix):
+        # Rows files and matrix files share one reader; both report the defect.
+        path = tmp_path / "rows.txt"
+        path.write_text(text)
+        argv = ("--rows", str(path)) if command == "spectrum" else (str(path),)
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(prefix) and "Traceback" not in err
+
     def test_no_values_flag(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--n", "2", "--no-values",
                            "--format", "structured")

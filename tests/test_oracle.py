@@ -1,6 +1,7 @@
 """Brute-force spectra and the direct identity verifiers."""
 
 import itertools
+import os
 import random
 
 import numpy as np
@@ -61,12 +62,38 @@ class TestSpectrumExhaustive:
         assert r.d == 4
 
     def test_worker_partitioning_is_deterministic(self):
-        # At n=4 the 560 row sets do not split into equal power-of-two blocks.
+        # At n=4 the 560 row sets do not split into 3 or 8 equal blocks; the
+        # block count is also capped by the CPU count.
         for n in (3, 4):
             expect = spectrum_exhaustive(n, workers=1)
             for workers in (2, 3, 4, 8):
                 r = spectrum_exhaustive(n, workers=workers)
                 assert (r.values, r.d, r.count) == (expect.values, expect.d, expect.count)
+
+    def test_worker_count_is_capped_by_cpus(self, monkeypatch):
+        # A serial stand-in for the pool records the thread count it is
+        # asked for, so a huge --workers value starts no threads at all.
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", SerialPool)
+        r = spectrum_exhaustive(4, workers=10**6)
+        assert all(w <= (os.cpu_count() or 1) for w in asked)
+        assert len(asked) == (0 if (os.cpu_count() or 1) == 1 else 1)
+        expect = spectrum_exhaustive(4, workers=1)
+        assert (r.values, r.d, r.count) == (expect.values, expect.d, expect.count)
 
     def test_shared_invariants(self):
         for n in range(2, 5):
@@ -99,7 +126,7 @@ def _bitmap_report(cof):
     hi = sum(c for c in cof if c > 0)
     seen = np.zeros(hi - lo + 1, dtype=np.uint8)
     _kernels.family_bitmap(np.array(cof, dtype=np.int64), lo, seen)
-    return oracle._report(len(cof), "family", seen, lo, 0.0)
+    return oracle.SpectrumReport(len(cof), "family", seen, lo, 0.0)
 
 
 def _subset_sums(cof):
@@ -202,6 +229,12 @@ class TestVerifyLaplaceIdentity:
                 continue
             assert verify_laplace_identity(rows, trials=10, rng=rng)
             checked += 1
+
+    def test_sign_error_in_cofactors_is_caught(self, monkeypatch):
+        rows = binary_rows(10, 3)[1:]
+        real = oracle.cofactor_vector
+        monkeypatch.setattr(oracle, "cofactor_vector", lambda r: tuple(-c for c in real(r)))
+        assert not verify_laplace_identity(rows, trials=100, rng=1)
 
     def test_dependent_rows_is_a_distinct_outcome(self):
         with pytest.raises(DependentRowsError):
