@@ -120,6 +120,12 @@ class TestSpectrumExhaustive:
         assert text.endswith("end\n")
         assert "values" not in r.to_text(include_values=False)
 
+    def test_text_without_values_leaves_the_tuple_unbuilt(self):
+        r = spectrum_exhaustive(3)
+        assert r.to_text(include_values=False).endswith("count 5\nd 3\nend\n")
+        assert "values" not in vars(r)
+        assert r.values == (-2, -1, 0, 1, 2) and "values" in vars(r)
+
 
 def _bitmap_report(cof):
     lo = sum(c for c in cof if c < 0)
