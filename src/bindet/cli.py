@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from pathlib import Path
-
-import mpmath
 
 from .construction import (
     _CERT_HEADER,
@@ -42,6 +41,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _alpha_text(alpha: Fraction) -> str:
+    """alpha in [1, 10) to 30 significant digits, trailing zeros stripped.
+
+    Reproduces mpmath.nstr(alpha, 30): floor to 33 significant digits,
+    round half up at the 30th.
+    """
+    digits = str((alpha.numerator * 10**32 // alpha.denominator + 500) // 1000)
+    text = (digits[0] + "." + digits[1:]).rstrip("0")
+    return text + "0" if text.endswith(".") else text
+
+
 def cmd_construct(args) -> int:
     cert = construct_matrix(args.n, args.det, args.k)
     doc = cert.matrix.to_text() if args.emit == "matrix" else cert.to_text()
@@ -62,11 +72,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        text = Path(args.path).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return 1
+    text = Path(args.path).read_text()
     if text.lstrip().startswith(_CERT_HEADER):
         try:
             cert = ConstructionCertificate.from_text(text)
@@ -97,7 +103,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     table = bound_table(args.n, args.k)
-    alpha = mpmath.nstr(table.alpha, 30)
+    alpha = _alpha_text(table.alpha)
     if args.format == "pretty":
         print(f"n = {table.n}, k = {table.k}")
         print(f"constructive range (prefix-sum bound): {table.theorem_bound}")
@@ -140,14 +146,10 @@ def cmd_spectrum(args) -> int:
     else:
         try:
             rows = parse_rows(Path(args.rows).read_text(), extra=1)
-        except OSError as exc:
-            print(f"error: cannot read {args.rows}: {exc}", file=sys.stderr)
-            return 1
         except ValueError as exc:
             print(f"malformed rows file: {exc}", file=sys.stderr)
             return 1
         report = spectrum_family(rows)
-    doc = report.to_text(include_values=not args.no_values)
     if args.format == "pretty":
         print(
             f"{report.mode} spectrum at n={report.n}: {report.count} values, "
@@ -155,11 +157,11 @@ def cmd_spectrum(args) -> int:
         )
         if not args.no_values:
             print("values: " + " ".join(str(v) for v in report.values))
-        if args.out:
-            _emit(doc, args.out)
-            print(f"wrote {args.out}")
-    else:
-        _emit(doc, args.out)
+        if not args.out:
+            return 0
+    _emit(report.to_text(include_values=not args.no_values), args.out)
+    if args.format == "pretty":
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -269,6 +271,7 @@ def main(argv=None) -> int:
         EnumerationCapError,
         DependentRowsError,
         ValueError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

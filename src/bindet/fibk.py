@@ -7,24 +7,23 @@ constructive range bound for an n x n matrix is the prefix sum
 F_k(1) + ... + F_k(n-k); the coarser closed-form bound is
 floor(2^n / (201 n)).
 
-All sequence arithmetic is exact (Python ints).  alpha_k is located by
-bisection in mpmath; wherever an inequality against a power of alpha_k has
-to be certified, the comparison is reduced to exact integer arithmetic
-using a dyadic upper bound on alpha_k.
+All arithmetic is exact.  alpha_k is located by bisection on dyadic
+rationals m / 2^p, each step deciding by the sign of an integer, and is
+returned as a fractions.Fraction; wherever an inequality against a power
+of alpha_k has to be certified, the upper end of the bisection bracket
+stands in for alpha_k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
-from mpmath import mpf, workprec
 
 from .errors import InternalInvariantError
 
 _MAX_PRECISION_BITS = 1 << 14
-_BASE_BITS = 128  # default working precision, and the dyadic scale of fib_lower_bound_check
+_BASE_BITS = 128  # bisection bits for alpha_k: its bracket is at most 2^-112 wide
 
 
 def _check_k(k: int) -> None:
@@ -63,53 +62,43 @@ def theorem_bound(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _alpha_bracket(k: int, prec_bits: int) -> tuple[mpf, mpf]:
-    """Bisection bracket [lo, hi] around alpha_k, width below 2^-(prec-16).
+def _alpha_bracket(k: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Dyadic bisection bracket [lo, hi] around alpha_k, width 2^-max(bits-16, k+2).
 
-    z - 2 + z^(-k) is negative at 1.5 and positive at 2, and has a single
-    root between them, so plain bisection is unconditionally convergent.
-    The bracket is also tightened past 2^-(k+2) so that both endpoints lie
-    inside [2 - 2^(1-k), 2).
+    For z > 0, z - 2 + z^(-k) has the sign of z^(k+1) - 2 z^k + 1, which
+    is negative at 2 - 2^(1-k) and positive at 2; at z = m / 2^p that sign
+    is the sign of m^(k+1) - 2^(p+1) m^k + 2^(p(k+1)), an exact integer.
+    The bracket [m / 2^p, (m+1) / 2^p] starts at p = k - 1 and is halved
+    until p reaches max(bits - 16, k + 2).
     """
-    with workprec(prec_bits):
-        tol = min(mpf(2) ** -(prec_bits - 16), mpf(2) ** -(k + 2))
-        lo, hi = mpf("1.5"), mpf(2)
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            if mid - 2 + mid ** (-k) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
+    m, p = (1 << k) - 1, k - 1
+    while p < max(bits - 16, k + 2):
+        m, p = 2 * m + 1, p + 1  # the midpoint of the current bracket
+        if m ** k * (m - (2 << p)) + (1 << (p * (k + 1))) >= 0:
+            m -= 1
+    return Fraction(m, 1 << p), Fraction(m + 1, 1 << p)
 
 
-def alpha_k(k: int, tol: float | None = None) -> mpf:
-    """The real root of z - 2 + z^(-k) closest to 2, within tol.
+def alpha_k(k: int) -> Fraction:
+    """The real root of z - 2 + z^(-k) closest to 2, as an exact dyadic Fraction.
 
-    Default tolerance is 2^-112 (128-bit working precision).  The result
-    always lies in [2 - 2^(1-k), 2).
+    The midpoint of a bracket of width 2^-max(112, k+2) that contains the
+    root, so it is within 2^-113 of alpha_k and lies in [2 - 2^(1-k), 2).
     """
     _check_k(k)
-    if tol is None:
-        prec = _BASE_BITS
-    else:
-        tol = mpf(tol)
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        prec = max(_BASE_BITS, int(-mpmath.log(tol, 2)) + 24)
-    lo, hi = _alpha_bracket(k, prec)
-    with workprec(prec):
-        return (lo + hi) / 2
+    lo, hi = _alpha_bracket(k, _BASE_BITS)
+    return (lo + hi) / 2
 
 
 def fib_closed_form(k: int, j: int) -> int:
     """F_k(j) via the rounded power formula alpha^(j-1) (alpha-1) / (k(alpha-2)+alpha).
 
-    The nearest-integer rounding is certified with a 0.25 margin; if the
-    computed value sits closer than that to a half-integer the working
-    precision is doubled and the evaluation retried.  j = 1 is returned
-    from the definition directly: there the formula's true value lies
-    between 0.5 and 0.73, so no precision makes the margin check pass,
+    The formula is evaluated exactly at the midpoint of a bisection bracket
+    around alpha_k.  The nearest-integer rounding is certified with a 0.25
+    margin; if the value sits closer than that to a half-integer the bracket
+    is narrowed to twice the bits and the evaluation retried.  j = 1 is
+    returned from the definition directly: there the formula's true value
+    lies between 0.5 and 0.73, so no precision makes the margin check pass,
     while rounding still lands on 1.
     """
     _check_k(k)
@@ -117,16 +106,15 @@ def fib_closed_form(k: int, j: int) -> int:
         raise ValueError(f"index j must be positive, got {j}")
     if j == 1:
         return 1
-    prec = _BASE_BITS
-    while prec <= _MAX_PRECISION_BITS:
-        lo, hi = _alpha_bracket(k, prec)
-        with workprec(prec):
-            a = (lo + hi) / 2
-            val = a ** (j - 1) * (a - 1) / (k * (a - 2) + a)
-            nearest = mpmath.nint(val)
-            if abs(val - nearest) <= mpf("0.25"):
-                return int(nearest)
-        prec *= 2
+    bits = _BASE_BITS
+    while bits <= _MAX_PRECISION_BITS:
+        lo, hi = _alpha_bracket(k, bits)
+        a = (lo + hi) / 2
+        val = a ** (j - 1) * (a - 1) / (k * (a - 2) + a)
+        nearest = round(val)
+        if abs(val - nearest) <= Fraction(1, 4):
+            return nearest
+        bits *= 2
     raise InternalInvariantError(
         f"closed-form rounding for k={k}, j={j} failed to certify below "
         f"{_MAX_PRECISION_BITS} bits of precision"
@@ -136,18 +124,14 @@ def fib_closed_form(k: int, j: int) -> int:
 def fib_lower_bound_check(k: int, n: int) -> bool:
     """Certified check that 5 F_k(n) > alpha_k^n (requires k >= 2, n >= 8).
 
-    Conservative direction: alpha_k is replaced by a dyadic upper bound
-    u / 2^s taken just above the bisection bracket, and the comparison
-    5 F 2^(sn) > u^n is made in exact integer arithmetic.
+    Conservative direction: alpha_k is replaced by the upper end of its
+    bisection bracket, and the comparison is made in exact arithmetic.
     """
     _check_k(k)
     if n < 8:
         raise ValueError(f"the bound only holds for n >= 8, got {n}")
-    f = fib_k(k, n)
-    _, hi = _alpha_bracket(k, _BASE_BITS + 64)
-    with workprec(_BASE_BITS + 64):
-        u = int(mpmath.floor(hi * mpf(2) ** _BASE_BITS)) + 1
-    return 5 * f * (1 << (_BASE_BITS * n)) > u ** n
+    _, hi = _alpha_bracket(k, _BASE_BITS)
+    return 5 * fib_k(k, n) > hi ** n
 
 
 def corollary_bound(n: int) -> int:
@@ -181,13 +165,17 @@ def best_k(n: int) -> int:
 
 @dataclass(frozen=True)
 class BoundTable:
-    """Per-(n, k) bound summary as reported by the CLI."""
+    """Per-(n, k) bound summary as reported by the CLI.
+
+    alpha is alpha_k(k): the exact dyadic Fraction at the midpoint of the
+    bisection bracket, not a rounded decimal.
+    """
 
     n: int
     k: int
     theorem_bound: int
     corollary_bound: int
-    alpha: mpf
+    alpha: Fraction
     best_k: int
 
 

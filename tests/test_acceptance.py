@@ -8,8 +8,7 @@ run reads as a checklist.
 import math
 import random
 import time
-
-import mpmath
+from fractions import Fraction
 
 from bindet import (
     alpha_k,
@@ -141,7 +140,7 @@ def test_criterion_5_sequence_identities():
 
     for k in range(2, 33):
         a = alpha_k(k)
-        assert 2 - mpmath.mpf(2) ** (1 - k) <= a < 2, k
+        assert 2 - Fraction(2) ** (1 - k) <= a < 2, k
 
     from bindet import fib_lower_bound_check
 

@@ -1,16 +1,33 @@
 """CLI behavior: round trips, exit statuses, output stability."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bindet
 from bindet.cli import main
+
+# The alpha line of `bound --n 2k --k k --format structured` for k = 2..125,
+# frozen from the release that printed alpha with mpmath.nstr(alpha_k, 30).
+ALPHA_FIXTURE = Path(__file__).parent / "data" / "bound_alpha.txt"
+SRC = Path(bindet.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*args, timeout=60):
+    """Run a fresh interpreter with src/ on the import path."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env=env)
 
 
 class TestConstruct:
@@ -171,6 +188,24 @@ class TestBound:
         assert code == 0
         assert "theorem_bound 2" in out and "corollary_bound 0" in out
 
+    def test_alpha_digits_match_frozen_fixture(self, capsys):
+        frozen = [line.split(" ") for line in ALPHA_FIXTURE.read_text().splitlines()
+                  if not line.startswith("#")]
+        assert [int(k) for k, _ in frozen] == list(range(2, 126))
+        for k, alpha in frozen:
+            code, out, _ = run(capsys, "bound", "--n", str(2 * int(k)), "--k", k,
+                               "--format", "structured")
+            assert code == 0
+            assert f"\nalpha {alpha}\n" in out, k
+
+    @pytest.mark.parametrize("n, k", [(252, 126), (400, 200)])
+    def test_large_k_returns(self, n, k):
+        # The growth root is bisected to 2^-(k+2) here, past any fixed precision.
+        proc = run_process("-m", "bindet.cli", "bound", "--n", str(n), "--k", str(k),
+                           "--format", "structured")
+        assert proc.returncode == 0, proc.stderr
+        assert "\nalpha 2.0\n" in proc.stdout
+
 
 class TestFib:
     def test_values(self, capsys):
@@ -243,6 +278,34 @@ class TestSelftest:
                            "--format", "structured")
         assert code == 0
         assert "selftest:" in out and "pass n=8" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--n", "10", "--det", "7", "--out", "{missing}/cert.txt"),
+    ("spectrum", "--n", "2", "--out", "{missing}/spectrum.txt"),
+    ("verify", "{missing}/cert.txt"),
+], ids=["construct-out", "spectrum-out", "verify-path"])
+def test_unusable_path_exits_1(capsys, tmp_path, argv):
+    missing = tmp_path / "no-such-dir"
+    code, _, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 1
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
+def test_cli_runs_without_mpmath(tmp_path):
+    cert = tmp_path / "cert.txt"
+    script = (
+        "import sys\n"
+        "from bindet.cli import main\n"
+        f"assert main(['construct', '--n', '12', '--det', '5', '--out', {str(cert)!r}]) == 0\n"
+        f"assert main(['verify', {str(cert)!r}]) == 0\n"
+        "assert main(['bound', '--n', '40']) == 0\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    proc = run_process("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,0 +1,33 @@
+"""The declared runtime dependencies are exactly the third-party imports of src/bindet."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def third_party_imports() -> set[str]:
+    names = set()
+    for path in sorted((ROOT / "src" / "bindet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"bindet"}
+
+
+def declared_dependencies() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower().replace("-", "_")
+            for dep in project["dependencies"]}
+
+
+def test_dependencies_match_imports():
+    assert third_party_imports() == declared_dependencies() == {"numpy"}

@@ -1,8 +1,8 @@
 """k-step sequences, the growth root, and the derived bounds."""
 
 import math
+from fractions import Fraction
 
-import mpmath
 import pytest
 
 from bindet import (
@@ -16,6 +16,7 @@ from bindet import (
     fib_prefix,
     theorem_bound,
 )
+from bindet.fibk import _alpha_bracket
 
 
 class TestFibK:
@@ -67,6 +68,9 @@ class TestTheoremBound:
 
 
 class TestAlphaK:
+    def test_is_an_exact_fraction(self):
+        assert isinstance(alpha_k(3), Fraction)
+
     def test_golden_ratio(self):
         golden = (1 + math.sqrt(5)) / 2
         assert abs(float(alpha_k(2)) - golden) < 1e-12
@@ -75,29 +79,34 @@ class TestAlphaK:
         assert abs(float(alpha_k(3)) - 1.839286755214161) < 1e-12
 
     def test_root_residual_is_tiny(self):
-        with mpmath.workprec(200):
-            for k in (2, 5, 17):
-                a = alpha_k(k)
-                assert abs(a - 2 + a ** (-k)) < mpmath.mpf(2) ** -80
+        for k in (2, 5, 17):
+            a = alpha_k(k)
+            assert abs(a - 2 + a ** (-k)) < Fraction(1, 2 ** 80)
 
     def test_confined_to_interval(self):
         for k in range(2, 33):
             a = alpha_k(k)
-            assert 2 - mpmath.mpf(2) ** (1 - k) <= a < 2
+            assert 2 - Fraction(2) ** (1 - k) <= a < 2
 
     def test_strictly_increasing_in_k(self):
         vals = [alpha_k(k) for k in range(2, 33)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_explicit_tolerance(self):
-        a = alpha_k(2, tol=1e-6)
-        assert abs(float(a) - (1 + math.sqrt(5)) / 2) < 1e-6
+    def test_bracket_certifies_the_root(self):
+        # z - 2 + z^(-k) is negative below alpha_k and non-negative from it
+        # up to 2, so the signs at the ends certify lo < alpha_k <= hi.
+        for k in range(2, 201):
+            lo, hi = _alpha_bracket(k, 128)
+            assert lo - 2 + lo ** (-k) < 0, k
+            assert hi - 2 + hi ** (-k) >= 0, k
+            assert hi - lo <= Fraction(1, 2 ** max(112, k + 2)), k
+            a = alpha_k(k)
+            assert lo < a < hi, k
+            assert 2 - Fraction(2) ** (1 - k) <= a < 2, k
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             alpha_k(1)
-        with pytest.raises(ValueError):
-            alpha_k(3, tol=-1.0)
 
 
 class TestClosedForm:
