@@ -2,13 +2,25 @@
 
 Two kernels live here (callers guarantee magnitudes fit):
 
-* ``exhaustive_chunk``: enumerate rows 2..n of a binary matrix as sorted
-  sets of n-1 distinct row codes, C(2^n, n-1) families ranked in colex
-  order, expand each family's 2^n top rows through the first-row Laplace
-  expansion, and mark every reachable determinant in a shared bitmap.
-  Families with a repeated row are skipped (their determinant is 0) and
-  reordering the rows only flips the sign, so the bitmap covers the full
-  spectrum once the caller closes it under negation;
+* ``exhaustive_chunk``: enumerate rows 2..n of a binary matrix as
+  doubly-lexical sets of n-1 distinct row codes, expand each set's 2^n
+  top rows through the first-row Laplace expansion, and mark every
+  reachable determinant in a shared bitmap.  Column j of a row is bit j
+  of its code, and the most significant bit is the first column.  A set
+  is doubly-lexical when its codes strictly decrease and its columns do
+  not increase, each column read as a word over the rows, first row
+  most significant.  Every (n-1) x n 0/1 matrix with distinct rows can
+  be brought to such a set by permuting rows and columns: sorting the
+  rows, then the columns, never lowers the row-major bit string, so
+  alternating the two sorts stops at a doubly-lexical matrix (A. Lubiw,
+  "Doubly lexical orderings of matrices", SIAM J. Comput. 16, 1987).
+  That loses no determinant: a repeated row gives 0, which the zero top
+  row reaches anyway; a row permutation flips the sign; a column
+  permutation permutes the cofactors and flips their sign, and the top
+  row ranges over all of {0,1}^n.  So the bitmap covers the full
+  spectrum once the caller closes it under negation.  The sets are
+  numbered in depth-first order (2,051 at n = 5, 140,199 at n = 6),
+  and a memoized count lets a walk start anywhere in that order;
 
 * ``family_bitmap``: given the first-row cofactors of fixed rows 2..n,
   mark every determinant reachable by a 0/1 top row.
@@ -16,7 +28,7 @@ Two kernels live here (callers guarantee magnitudes fit):
 
 from __future__ import annotations
 
-from math import comb
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,32 +54,73 @@ def _det_stack(mats: np.ndarray) -> np.ndarray:
     return total
 
 
+@lru_cache(maxsize=None)
+def _moves(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each tie mask, the (code, new mask) pairs a next row may take.
+
+    Bit j of a mask says columns j+1 and j are still equal in every row
+    placed so far; such a pair allows no row with bit j set and bit j+1
+    clear, and stays tied only where the row's two bits agree.  Codes are
+    listed in decreasing order.
+    """
+    codes = range((1 << n) - 1, -1, -1)
+    return tuple(
+        tuple((c, mask & ~(c ^ (c >> 1))) for c in codes if c & ~(c >> 1) & mask == 0)
+        for mask in range(1 << (n - 1))
+    )
+
+
+@lru_cache(maxsize=None)
+def _count(n: int, left: int, prev: int, mask: int) -> int:
+    """Ways to extend a doubly-lexical prefix by `left` more rows.
+
+    prev is the prefix's last code (2^n before the first row) and mask its
+    tie mask.
+    """
+    if left == 0:
+        return 1
+    return sum(_count(n, left - 1, c, nxt) for c, nxt in _moves(n)[mask] if c < prev)
+
+
 def family_count(n: int) -> int:
-    """Number of sets of n-1 distinct binary rows of length n."""
-    return comb(1 << n, n - 1)
+    """Number of doubly-lexical sets of n-1 distinct binary rows of length n."""
+    return _count(n, n - 1, 1 << n, (1 << (n - 1)) - 1)
 
 
-def _unrank(n: int, ranks: np.ndarray) -> np.ndarray:
-    """Row codes c_0 < ... < c_{n-2} with rank sum_i C(c_i, i+1), one set per rank."""
-    codes = np.arange(1 << n, dtype=np.int64)
-    out = np.empty((ranks.size, n - 1), dtype=np.int64)
-    rest = ranks.copy()
-    for i in range(n - 2, -1, -1):
-        # C(c, i+1) is nondecreasing in c, so the largest c with
-        # C(c, i+1) <= rest is found by a sorted search.
-        table = np.array([comb(int(c), i + 1) for c in codes], dtype=np.int64)
-        c = np.searchsorted(table, rest, side="right") - 1
-        out[:, i] = c
-        rest -= table[c]
+def _row_sets(n: int, start: int, stop: int) -> list[tuple[int, ...]]:
+    """The doubly-lexical row sets numbered [start, stop) in depth-first order.
+
+    Subtrees that lie wholly outside the window are skipped by their counts.
+    """
+    moves = _moves(n)
+    out: list[tuple[int, ...]] = []
+
+    def visit(prefix, left, prev, mask, base):
+        # base is the depth-first number of the first set below prefix.
+        if left == 0:
+            out.append(prefix)
+            return
+        for c, nxt in moves[mask]:
+            if c >= prev:
+                continue
+            if base >= stop:
+                return
+            size = _count(n, left - 1, c, nxt)
+            if base + size > start:
+                visit(prefix + (c,), left - 1, c, nxt, base)
+            base += size
+
+    visit((), n - 1, 1 << n, (1 << (n - 1)) - 1, 0)
     return out
 
 
 def exhaustive_chunk(n, start, stop, seen):
-    """Mark the determinants of the row sets ranked [start, stop).
+    """Mark the determinants of the doubly-lexical row sets numbered [start, stop).
 
-    seen[d + (len(seen) - 1) // 2] is set for every determinant d; only
-    one sign of each row order is visited, so the caller closes the
-    merged bitmap under negation.
+    seen[d + (len(seen) - 1) // 2] is set for every determinant d; one
+    set stands for all row and column orders of its rows, which reach the
+    same values up to sign, so the caller closes the merged bitmap under
+    negation.
     """
     offset = (seen.shape[0] - 1) // 2
     bits = np.arange(n, dtype=np.int64)
@@ -75,7 +128,7 @@ def exhaustive_chunk(n, start, stop, seen):
     minor_cols = [[c for c in range(n) if c != j] for j in range(n)]
     for s in range(start, stop, _BATCH):
         e = min(stop, s + _BATCH)
-        codes = _unrank(n, np.arange(s, e, dtype=np.int64))
+        codes = np.array(_row_sets(n, s, e), dtype=np.int64)
         rows = (codes[:, :, None] >> bits) & 1
         cof = np.empty((e - s, n), dtype=np.int64)
         for j, cols in enumerate(minor_cols):

@@ -150,16 +150,19 @@ def cmd_spectrum(args) -> int:
             print(f"malformed rows file: {exc}", file=sys.stderr)
             return 1
         report = spectrum_family(rows)
+    doc = report.to_text(include_values=not args.no_values)
     if args.format == "pretty":
         print(
             f"{report.mode} spectrum at n={report.n}: {report.count} values, "
             f"smallest missing natural {report.d} ({report.elapsed:.2f}s)"
         )
         if not args.no_values:
-            print("values: " + " ".join(str(v) for v in report.values))
+            # The value list is formatted once, in the document.
+            start = doc.index("\nvalues ") + len("\nvalues ")
+            print("values:", doc[start:doc.index("\n", start)])
         if not args.out:
             return 0
-    _emit(report.to_text(include_values=not args.no_values), args.out)
+    _emit(doc, args.out)
     if args.format == "pretty":
         print(f"wrote {args.out}")
     return 0

@@ -40,7 +40,7 @@ from .errors import DependentRowsError, EnumerationCapError, InternalInvariantEr
 from .exact import cofactor_vector, det_exact, dot, is_orthogonal_to_all
 from .fibk import theorem_bound
 
-_EXHAUSTIVE_MAX_N = 5
+_EXHAUSTIVE_MAX_N = 6
 _FAMILY_MAX_N = 30
 _FAMILY_MAX_CELLS = 1 << 28
 _INT64_GUARD = 1 << 62
@@ -100,15 +100,21 @@ def smallest_missing_natural(values: Iterable[int]) -> int:
 def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> SpectrumReport:
     """Exact determinant spectrum over all 2^(n^2) binary n x n matrices.
 
-    Rows 2..n are enumerated as sets of n-1 distinct binary rows,
-    C(2^n, n-1) families instead of 2^(n(n-1)) row assignments: a repeated
-    row gives determinant 0, which the zero top row reaches anyway, and
-    reordering the rows only flips the sign, so the union over the sets,
-    closed under negation, is the whole spectrum.  The family ranks are
-    split into min(workers, CPU count, families) contiguous blocks, one
-    thread and one bitmap each, and merged by bitmap union, so the result
-    is identical for every worker count.  n above _EXHAUSTIVE_MAX_N = 5,
-    the largest size the tests run (C(32, 4) = 35,960 families), is
+    Rows 2..n are enumerated as doubly-lexical sets of n-1 distinct binary
+    rows: the rows strictly decrease and the columns do not increase, both
+    in lexicographic order.  Some row and column permutation brings every
+    set of distinct rows to such a set (Lubiw's doubly lexical ordering),
+    and neither permutation changes the reachable values up to sign: a
+    row permutation flips the determinant's sign, a column permutation
+    permutes the first-row cofactors and flips their sign while the top
+    row ranges over all of {0,1}^n.  A repeated row gives determinant 0, which the zero top
+    row reaches anyway.  So the union over the sets, closed under
+    negation, is the whole spectrum: 2,051 sets at n = 5 and 140,199 at
+    n = 6 instead of 2^(n(n-1)) row assignments.  The sets, numbered in
+    depth-first order, are split into min(workers, CPU count, sets)
+    contiguous blocks, one thread and one bitmap each, and merged by
+    bitmap union, so the result is identical for every worker count.  n
+    above _EXHAUSTIVE_MAX_N = 6, the largest size the tests run, is
     refused unless force is given.
     """
     t0 = time.perf_counter()

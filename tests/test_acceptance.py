@@ -30,16 +30,18 @@ from bindet.cli import main
 
 GRID = [(n, k) for k in range(2, 9) for n in range(2 * k, 97)]
 
-# Exhaustive spectra for n <= 5, frozen from oracle runs; every value set
-# is the full symmetric integer interval at these sizes.
+# Exhaustive spectra for n <= 6, frozen from oracle runs; every value set
+# is the full symmetric integer interval at these sizes.  d_6 = 10 as in
+# OEIS A013588.
 FROZEN_SPECTRA = {
     1: tuple(range(0, 2)),
     2: tuple(range(-1, 2)),
     3: tuple(range(-2, 3)),
     4: tuple(range(-3, 4)),
     5: tuple(range(-5, 6)),
+    6: tuple(range(-9, 10)),
 }
-FROZEN_D = {1: 2, 2: 2, 3: 3, 4: 4, 5: 6}
+FROZEN_D = {1: 2, 2: 2, 3: 3, 4: 4, 5: 6, 6: 10}
 
 
 def _ok(num: int, msg: str) -> None:
@@ -101,19 +103,23 @@ def test_criterion_3_row_and_orthogonality_grid():
 
 
 def test_criterion_4_exhaustive_oracle():
-    t0 = time.perf_counter()
     reports = {}
     for n in range(1, 5):
         reports[n] = spectrum_exhaustive(n)
     t5 = time.perf_counter()
     reports[5] = spectrum_exhaustive(5, workers=8)
     elapsed5 = time.perf_counter() - t5
+    t6 = time.perf_counter()
+    reports[6] = spectrum_exhaustive(6, workers=8)
+    elapsed6 = time.perf_counter() - t6
 
     assert elapsed5 < 300.0, f"n=5 took {elapsed5:.1f}s, limit 300s"
-    for n in range(1, 6):
+    assert elapsed6 < 300.0, f"n=6 took {elapsed6:.1f}s, limit 300s"
+    for n in range(1, 7):
         r = reports[n]
         assert r.values == FROZEN_SPECTRA[n], n
         assert r.d == FROZEN_D[n], n
+        assert r.count == len(FROZEN_SPECTRA[n]), n
         assert 0 in r.values
         if n >= 2:
             # Symmetry needs a row swap to negate, so n = 1 is exempt, and
@@ -123,10 +129,11 @@ def test_criterion_4_exhaustive_oracle():
         for k in range(2, n // 2 + 1):
             covered = set(range(0, theorem_bound(n, k) + 1))
             assert covered <= set(r.values), (n, k)
-    for n in (4, 5):
+    for n in (4, 5, 6):
         assert reports[n].d > theorem_bound(n, best_k(n)), n
-    _ok(4, f"spectra for n=1..5 match fixtures; d_n = "
-           f"{[FROZEN_D[n] for n in range(1, 6)]}; n=5 in {elapsed5:.1f}s on 8 workers")
+    _ok(4, f"spectra for n=1..6 match fixtures; d_n = "
+           f"{[FROZEN_D[n] for n in range(1, 7)]}; n=5 in {elapsed5:.1f}s and "
+           f"n=6 in {elapsed6:.1f}s on 8 workers")
 
 
 def test_criterion_5_sequence_identities():

@@ -226,7 +226,7 @@ class TestSpectrum:
         assert "values -1 0 1" in out and "d 2" in out
 
     def test_cap_is_enforced(self, capsys):
-        code, _, err = run(capsys, "spectrum", "--n", "6")
+        code, _, err = run(capsys, "spectrum", "--n", "7")
         assert code == 1
         assert "force" in err
 
@@ -263,6 +263,24 @@ class TestSpectrum:
         assert code == 1
         assert out == ""
         assert err.startswith(prefix) and "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["n", "rows"])
+    def test_pretty_values_line_matches_written_document(self, capsys, tmp_path, source):
+        if source == "n":
+            argv = ("--n", "4")
+        else:
+            path = tmp_path / "rows.txt"
+            path.write_text("3\n1 0 1 1\n0 1 1 0\n1 1 0 1\n")
+            argv = ("--rows", str(path))
+        out_path = tmp_path / "spectrum.txt"
+        code, out, _ = run(capsys, "spectrum", *argv, "--out", str(out_path))
+        assert code == 0
+        printed = [line for line in out.splitlines() if line.startswith("values:")]
+        written = [line for line in out_path.read_text().splitlines()
+                   if line.startswith("values ")]
+        assert len(printed) == len(written) == 1
+        assert printed[0].removeprefix("values: ") == written[0].removeprefix("values ")
+        assert out.endswith(f"wrote {out_path}\n")
 
     def test_no_values_flag(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--n", "2", "--no-values",

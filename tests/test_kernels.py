@@ -40,20 +40,51 @@ def test_exhaustive_matches_plain_enumeration(n):
 def test_exhaustive_uneven_split_equals_whole():
     n = 4
     total = _kernels.family_count(n)
-    assert total == math.comb(16, 3)
-    cuts = [0, 1, 2, 37, 38, 250, total - 1, total]
+    assert total == 85
+    cuts = [0, 1, 2, 37, 38, 60, total - 1, total]
     blocks = list(zip(cuts, cuts[1:]))
     whole = run_exhaustive(n, [(0, total)])
     assert run_exhaustive(n, blocks) == whole
-    # One sign of each row order: the negation closure is the caller's.
+    # One sign of each orbit: the negation closure is the caller's.
     assert whole | {-v for v in whole} == set(range(-3, 4))
 
 
-def test_unrank_enumerates_each_row_set_once():
-    n = 4
-    codes = _kernels._unrank(n, np.arange(_kernels.family_count(n), dtype=np.int64))
-    sets = [tuple(row) for row in codes.tolist()]
-    assert sorted(sets) == list(itertools.combinations(range(1 << n), n - 1))
+def _matrix(n, codes):
+    """Rows as bit tuples, most significant bit first."""
+    return [tuple((c >> (n - 1 - j)) & 1 for j in range(n)) for c in codes]
+
+
+def _orbit_key(n, rows):
+    """Least sorted row tuple over all column permutations of the row set."""
+    return min(tuple(sorted(tuple(r[p] for p in perm) for r in rows))
+               for perm in itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_row_sets_are_doubly_lexical_and_cover_every_orbit(n):
+    sets = _kernels._row_sets(n, 0, _kernels.family_count(n))
+    assert len(set(sets)) == len(sets)
+    for codes in sets:
+        assert all(a > b for a, b in zip(codes, codes[1:]))
+        rows = _matrix(n, codes)
+        cols = list(zip(*rows))
+        assert all(a >= b for a, b in zip(cols, cols[1:]))
+    # Every set of n-1 distinct rows reaches a generated set by permuting
+    # its rows and columns.
+    generated = {_orbit_key(n, _matrix(n, codes)) for codes in sets}
+    for codes in itertools.combinations(range(1 << n), n - 1):
+        assert _orbit_key(n, _matrix(n, codes)) in generated
+
+
+def test_family_count_matches_known_totals():
+    assert [_kernels.family_count(n) for n in range(2, 7)] == [3, 10, 85, 2051, 140199]
+
+
+def test_row_set_windows_concatenate_to_the_whole():
+    n = 5
+    whole = _kernels._row_sets(n, 0, _kernels.family_count(n))
+    parts = [_kernels._row_sets(n, a, b) for a, b in ((0, 700), (700, 1500), (1500, 2051))]
+    assert sum(parts, []) == whole
 
 
 def test_family_numpy_against_direct_subsets():

@@ -62,9 +62,9 @@ class TestSpectrumExhaustive:
         assert r.d == 4
 
     def test_worker_partitioning_is_deterministic(self):
-        # At n=4 the 560 row sets do not split into 3 or 8 equal blocks; the
-        # block count is also capped by the CPU count.
-        for n in (3, 4):
+        # The 85 row sets at n=4 and the 2,051 at n=5 do not split into 2,
+        # 3 or 8 equal blocks; the block count is also capped by the CPU count.
+        for n in (3, 4, 5):
             expect = spectrum_exhaustive(n, workers=1)
             for workers in (2, 3, 4, 8):
                 r = spectrum_exhaustive(n, workers=workers)
@@ -103,8 +103,8 @@ class TestSpectrumExhaustive:
             assert r.count >= 2 * r.d - 1
 
     def test_cap_refuses_oversized(self):
-        with pytest.raises(EnumerationCapError, match="2\\^36"):
-            spectrum_exhaustive(6)
+        with pytest.raises(EnumerationCapError, match="2\\^49"):
+            spectrum_exhaustive(7)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
