@@ -31,7 +31,6 @@ from .errors import (
 )
 from .exact import IntMatrix, det_exact, parse_rows
 from .fibk import bound_table, fib_prefix
-from .oracle import spectrum_exhaustive, spectrum_family, verify_construction
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -141,6 +140,8 @@ def cmd_fib(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .oracle import spectrum_exhaustive, spectrum_family  # loads numpy
+
     if args.n is not None:
         report = spectrum_exhaustive(args.n, workers=args.workers, force=args.force)
     else:
@@ -169,6 +170,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .oracle import verify_construction  # loads numpy
+
     failures = 0
     cases = 0
     for k in range(2, args.k_max + 1):

@@ -3,21 +3,25 @@
 Determinants and cofactors share one fraction-free (Bareiss) single-step
 elimination routine, ``_eliminate``: every intermediate value is a minor of
 the input matrix, so all interior divisions are exact and no rational
-arithmetic is needed.  ``det_exact`` eliminates the square matrix itself;
-``cofactor_vector`` stacks the n unit rows below its n-1 rows and carries
-them through the same pivot chain.  Entries are Python ints end to end;
-results are exact at any magnitude.
+arithmetic is needed.  ``det_exact`` eliminates the square matrix itself.
+``cofactor_vector`` eliminates its n-1 rows alone and recovers the cofactors
+by Cramer back substitution: their kernel vector, scaled so that its free
+entry is the maximal minor on the pivot columns, is integral.
 
-Elimination runs on object-dtype numpy arrays so the elementwise big-int
-work happens in C-level loops rather than Python-level ones.
+Rows are lists of Python ints end to end, with no numpy, so results are
+exact at any magnitude and importing this module stays cheap.  A row that
+is zero in the pivot column is not rescaled but left to catch up at its
+next real update, which on sparse 0/1 matrices skips most of the work.
+Exactness is checked once per row: floor remainders all take the divisor's
+sign, so a row divides exactly iff the sum of its numerators equals the
+divisor times the sum of its quotients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import InternalInvariantError
 
@@ -106,31 +110,46 @@ def parse_rows(text: str, extra: int = 0) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _exact_div(arr: np.ndarray, d) -> np.ndarray:
-    """Divide elementwise, insisting the division is remainder-free."""
-    if d == 1:
-        return arr
-    if d == -1:
-        return -arr
-    q = arr // d
-    if not (q * d == arr).all():
+def _reduce_row(row: list[int], top: list[int], piv: int, f: int, d: int) -> list[int]:
+    """(piv * row - f * top) // d entrywise, insisting that it is exact.
+
+    Floor remainders all take the sign of d, so they vanish together exactly
+    when the numerators sum to d times the quotients' sum: one check per
+    row, not per entry.
+    """
+    if f:
+        quo = [(x * piv - f * y) // d for x, y in zip(row, top)]
+        total = piv * sum(row) - f * sum(top)
+    else:
+        quo = [x * piv // d for x in row]
+        total = piv * sum(row)
+    if total != d * sum(quo):
         raise InternalInvariantError(
             "fraction-free elimination produced a nonzero remainder"
         )
-    return q
+    return quo
 
 
-def _eliminate(rows: Sequence[Sequence[int]], m: int):
-    """Fraction-free elimination that pivots only on rows[:m].
+def _eliminate(rows: Sequence[Sequence[int]]):
+    """Fraction-free elimination of m rows of width n >= m.
 
-    Per column, the first nonzero among the unused rows of rows[:m] is the
-    pivot (a column without one is skipped), and every row below it, rows[m:]
-    included, is eliminated through the same pivot chain.  Returns the sign
-    of the row swaps, the pivot columns and the reduced object array, or None
-    when rows[:m] have rank below m.
+    Per column, the first nonzero among the rows not yet used as pivots is
+    the pivot; a column without one is skipped.  Returns the sign of the row
+    swaps, the m pivot columns and the reduced rows as lists of ints, whose
+    row t is the Bareiss pivot row of step t; or None when the rank is
+    below m.
+
+    A Bareiss step multiplies a row that is zero in the pivot column by
+    piv / prev, so over a run of such steps the factors telescope.  Such a
+    row is left as it is, and ``div`` remembers the pivot it was last
+    current under: its true value is row * prev / div, and when the row
+    next meets a nonzero f, the step (true row * piv - true f * top) / prev
+    reduces to (row * piv - f * top) / div.
     """
-    a = np.array([[int(x) for x in row] for row in rows], dtype=object)
-    width = a.shape[1]
+    a = [[int(x) for x in row] for row in rows]
+    m = len(a)
+    width = len(a[0]) if a else 0
+    div = [1] * m
     sign = 1
     prev = 1
     pivots: list[int] = []
@@ -141,20 +160,27 @@ def _eliminate(rows: Sequence[Sequence[int]], m: int):
         t = len(pivots)
         if t == m:
             break
-        nz = np.flatnonzero(a[t:m, c] != 0)
-        if nz.size == 0:
+        p = next((i for i in range(t, m) if a[i][c]), None)
+        if p is None:
             if c + 1 - t > width - m:
                 return None  # too few columns left for m pivots
             lo = min(lo, c)
             continue
-        p = t + int(nz[0])
         if p != t:
-            a[[t, p]] = a[[p, t]]
+            a[t], a[p] = a[p], a[t]
+            div[t], div[p] = div[p], div[t]
             sign = -sign
-        piv = a[t, c]
+        if div[t] != prev:
+            a[t] = _reduce_row(a[t], a[t], prev, 0, div[t])
+        piv = a[t][c]
         s = min(lo, c)
-        sub = a[t + 1:, s:] * piv - np.outer(a[t + 1:, c], a[t, s:])
-        a[t + 1:, s:] = _exact_div(sub, prev)
+        top = a[t][s:]
+        for i in range(t + 1, m):
+            row = a[i]
+            f = row[c]
+            if f:
+                row[s:] = _reduce_row(row[s:], top, piv, f, div[i])
+                div[i] = piv
         pivots.append(c)
         prev = piv
     return sign, pivots, a
@@ -171,11 +197,11 @@ def det_exact(m: "IntMatrix | Sequence[Sequence[int]]") -> int:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
-    reduced = _eliminate(rows, n)
+    reduced = _eliminate(rows)
     if reduced is None:
         return 0
     sign, _, a = reduced
-    return int(sign * a[-1, -1])
+    return sign * a[-1][-1]
 
 
 def dot(u: Sequence[int], w: Sequence[int]) -> int:
@@ -194,24 +220,34 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     result is orthogonal to every input row; dependent rows yield the zero
     vector, which callers must detect.
 
-    Runs in O(n^3): the n unit rows are stacked below the given rows and
-    carried through their pivot chain in one elimination pass.
+    Runs in O(n^3): the n-1 rows are eliminated alone, then back
+    substitution solves for their kernel vector scaled by a maximal minor.
     """
     m = len(rows)
     n = m + 1
     if any(len(r) != n for r in rows):
         raise ValueError(f"need {m} rows of length {m + 1}")
-    reduced = _eliminate([*rows, *IntMatrix.identity(n).rows], m)
+    reduced = _eliminate(rows)
     if reduced is None:
         return (0,) * n
     sign, pivots, a = reduced
-    # Unit row j ends up carrying det([rows; e_j]) in the single non-pivot
-    # column j0.  det([e_j; rows]) = (-1)^(n-1) det([rows; e_j]); moving the
-    # pivot columns in front costs a further (-1)^(n-1-j0), so the net
-    # factor is (-1)^j0.
-    j0 = next(c for c in range(n) if c not in set(pivots))
-    s = sign * (-1 if j0 % 2 else 1)
-    return tuple(int(s * a[m + j, j0]) for j in range(n))
+    # The reduced rows are echelon in the pivot columns; the one non-pivot
+    # column j0 is zero in every row whose pivot lies right of it.  Fixing
+    # x[j0] to the last pivot, the maximal minor on the pivot columns, makes
+    # the kernel vector integral (Cramer), so each pivot divides exactly.
+    j0 = next(c for c in range(n) if c not in pivots)
+    x = [0] * n
+    x[j0] = a[-1][pivots[-1]] if m else 1
+    for t in range(m - 1, -1, -1):
+        row, p = a[t], pivots[t]
+        q, r = divmod(-sum(map(mul, row[p + 1:], x[p + 1:])), row[p])
+        if r:
+            raise InternalInvariantError("back substitution left a nonzero remainder")
+        x[p] = q
+    # The last pivot is sign * det(rows[:, pivots]), and C[j0] is
+    # (-1)^j0 * det(rows[:, pivots]); C is the kernel vector with that entry.
+    s = -sign if j0 % 2 else sign
+    return tuple(s * v for v in x)
 
 
 def is_orthogonal_to_all(v: Sequence[int], rows: Iterable[Sequence[int]]) -> bool:

@@ -326,6 +326,29 @@ def test_cli_runs_without_mpmath(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_construct_verify_and_bound_load_no_numpy(tmp_path):
+    cert, matrix = tmp_path / "cert.txt", tmp_path / "matrix.txt"
+    script = (
+        "import sys\n"
+        "from bindet.cli import main\n"
+        f"assert main(['construct', '--n', '64', '--det', '-12345', '--out', {str(cert)!r}]) == 0\n"
+        f"assert main(['construct', '--n', '64', '--det', '-12345', '--emit', 'matrix',"
+        f" '--out', {str(matrix)!r}]) == 0\n"
+        f"assert main(['verify', {str(cert)!r}]) == 0\n"
+        f"assert main(['verify', {str(matrix)!r}]) == 0\n"
+        "assert main(['bound', '--n', '64']) == 0\n"
+        "print(sorted({'numpy', 'mpmath', 'bindet.oracle', 'bindet._kernels'} & set(sys.modules)))\n"
+    )
+    proc = run_process("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert "det = -12345" in proc.stdout and "det=-12345" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
+    # spectrum loads the oracle, and numpy with it, on demand.
+    proc = run_process("-m", "bindet.cli", "spectrum", "--n", "3", "--format", "structured")
+    assert proc.returncode == 0, proc.stderr
+    assert "count 5\n" in proc.stdout
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--n", "10"])  # missing --det

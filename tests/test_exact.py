@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bindet import (
     IntMatrix,
+    InternalInvariantError,
     binary_rows,
     cofactor_vector,
     det_exact,
@@ -16,6 +17,7 @@ from bindet import (
     is_orthogonal_to_all,
     seed_matrix,
 )
+from bindet import exact
 
 
 def det_permsum(rows):
@@ -161,6 +163,26 @@ class TestCofactorVector:
         with pytest.raises(ValueError):
             cofactor_vector([(1, 0), (0, 1)])
 
+    def test_one_by_one(self):
+        # No rows below: det([r1]) = r1[0].
+        assert cofactor_vector([]) == (1,)
+
+    @pytest.mark.parametrize("n, k", [(19, 4), (24, 4)])
+    def test_unit_top_rows_on_construction_families(self, n, k):
+        rows = binary_rows(n, k)[1:]
+        cof = cofactor_vector(rows)
+        for j in range(n):
+            unit = tuple(int(i == j) for i in range(n))
+            assert det_exact([unit, *rows]) == cof[j]
+
+    def test_inexact_back_substitution_is_an_invariant_failure(self, monkeypatch):
+        # An echelon form that is not the Bareiss one: x = (?, -1, 3) leaves
+        # -3 to be divided by the first pivot, 2.
+        monkeypatch.setattr(exact, "_eliminate",
+                            lambda rows: (1, [0, 1], [[2, 0, 1], [0, 3, 1]]))
+        with pytest.raises(InternalInvariantError, match="remainder"):
+            cofactor_vector([(2, 0, 1), (0, 3, 1)])
+
 
 class TestOrthogonality:
     def test_simple_true(self):
@@ -179,6 +201,29 @@ def square_int_matrix(draw, max_n=5, lo=-3, hi=3):
     return [
         tuple(draw(st.integers(lo, hi)) for _ in range(n)) for _ in range(n)
     ]
+
+
+small_ints = st.integers(-50, 50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(small_ints, small_ints), max_size=6),
+    small_ints,
+    small_ints,
+    st.integers(-6, 6).filter(bool),
+    st.booleans(),
+)
+def test_row_reduction_raises_iff_a_remainder_is_left(pairs, piv, f, d, scale):
+    if scale:  # every numerator a multiple of d, so the row is exact
+        pairs = [(x * d, y * d) for x, y in pairs]
+    row, top = [x for x, _ in pairs], [y for _, y in pairs]
+    nums = [piv * x - f * y for x, y in pairs]
+    if any(v % d for v in nums):
+        with pytest.raises(InternalInvariantError):
+            exact._reduce_row(row, top, piv, f, d)
+    else:
+        assert exact._reduce_row(row, top, piv, f, d) == [v // d for v in nums]
 
 
 @settings(max_examples=150, deadline=None)
