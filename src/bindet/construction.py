@@ -19,7 +19,10 @@ is a line holding both v and the cofactors, and both have first entry 1.
 Hence det([t; R]) = v . t for every top row t, and each returned matrix is
 certified by that exact O(n) dot product (negated when the bottom two rows
 are swapped).  Neither check trusts the greedy scan or the Fibonacci
-recurrence.
+recurrence.  Per target, then, only the top row is built, checked and
+formatted: the returned matrix shares the cached row tuples of R (the
+private ``IntMatrix._of_checked_rows`` skips re-converting them), and
+``IntMatrix.to_text`` finds their text in its row memo.
 """
 
 from __future__ import annotations
@@ -337,7 +340,9 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
     sign_swap = target < 0
     built = _assemble(rows, subset, sign_swap)
     top = built[0]
-    matrix = IntMatrix.from_rows(built)
+    # Rows 2..n were certified as 0/1 int tuples by _normalized_rows and the
+    # top row is built from int literals, so only squareness is rechecked.
+    matrix = IntMatrix._of_checked_rows(tuple(built))
 
     certified = -dot(v, top) if sign_swap else dot(v, top)
     if certified != target:

@@ -15,15 +15,28 @@ next real update, which on sparse 0/1 matrices skips most of the work.
 Exactness is checked once per row: floor remainders all take the divisor's
 sign, so a row divides exactly iff the sum of its numerators equals the
 divisor times the sum of its quotients.
+
+Entries are taken through ``operator.index``: ints, bools and numpy
+integers pass, while a float or a string raises TypeError instead of being
+truncated or parsed.  ``IntMatrix.to_text`` formats each row through a
+bounded memo keyed by the row tuple, so rows shared between matrices, such
+as the fixed lower rows of every construction at one (n, k), are formatted
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from functools import lru_cache
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
+
+# Rows whose text IntMatrix.to_text keeps.  A batch of constructions at one
+# (n, k) shares its n-1 lower row tuples, so a warm call formats only the
+# top row; this holds a few sizes' lower rows plus recent top rows.
+_ROW_TEXT_MEMO = 1024
 
 
 @dataclass(frozen=True)
@@ -33,16 +46,20 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        norm = tuple(tuple(map(int, row)) for row in self.rows)
-        n = len(norm)
-        if n < 1:
-            raise ValueError("matrix must have at least one row")
-        for row in norm:
-            if len(row) != n:
-                raise ValueError(
-                    f"matrix is not square: {n} rows but a row of length {len(row)}"
-                )
+        norm = tuple(tuple(map(index, row)) for row in self.rows)
+        _check_square(norm)
         object.__setattr__(self, "rows", norm)
+
+    @classmethod
+    def _of_checked_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """A matrix on rows the caller has already certified as tuples of ints.
+
+        Skips the per-entry conversion and keeps only the squareness check.
+        """
+        _check_square(rows)
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     @property
     def n(self) -> int:
@@ -73,12 +90,29 @@ class IntMatrix:
         Line 1 is n; lines 2..n+1 hold n space-separated decimal entries each.
         """
         lines = [str(self.n)]
-        lines.extend(" ".join(str(x) for x in row) for row in self.rows)
+        lines.extend(map(_row_text, self.rows))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "IntMatrix":
         return cls(parse_rows(text))
+
+
+def _check_square(rows: tuple[tuple[int, ...], ...]) -> None:
+    n = len(rows)
+    if n < 1:
+        raise ValueError("matrix must have at least one row")
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(
+                f"matrix is not square: {n} rows but a row of length {len(row)}"
+            )
+
+
+@lru_cache(maxsize=_ROW_TEXT_MEMO)
+def _row_text(row: tuple[int, ...]) -> str:
+    """One matrix text line: the row's entries in decimal, space-separated."""
+    return " ".join(map(str, row))
 
 
 def parse_rows(text: str, extra: int = 0) -> tuple[tuple[int, ...], ...]:
@@ -110,16 +144,18 @@ def parse_rows(text: str, extra: int = 0) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_row(row: list[int], top: list[int], piv: int, f: int, d: int) -> list[int]:
+def _reduce_row(row: list[int], top: list[int], piv: int, f: int, d: int,
+                top_sum: int) -> list[int]:
     """(piv * row - f * top) // d entrywise, insisting that it is exact.
 
     Floor remainders all take the sign of d, so they vanish together exactly
     when the numerators sum to d times the quotients' sum: one check per
-    row, not per entry.
+    row, not per entry.  top_sum is sum(top), computed once per pivot step
+    by the caller; it is unused when f is 0.
     """
     if f:
         quo = [(x * piv - f * y) // d for x, y in zip(row, top)]
-        total = piv * sum(row) - f * sum(top)
+        total = piv * sum(row) - f * top_sum
     else:
         quo = [x * piv // d for x in row]
         total = piv * sum(row)
@@ -146,7 +182,7 @@ def _eliminate(rows: Sequence[Sequence[int]]):
     next meets a nonzero f, the step (true row * piv - true f * top) / prev
     reduces to (row * piv - f * top) / div.
     """
-    a = [[int(x) for x in row] for row in rows]
+    a = [list(map(index, row)) for row in rows]
     m = len(a)
     width = len(a[0]) if a else 0
     div = [1] * m
@@ -171,15 +207,16 @@ def _eliminate(rows: Sequence[Sequence[int]]):
             div[t], div[p] = div[p], div[t]
             sign = -sign
         if div[t] != prev:
-            a[t] = _reduce_row(a[t], a[t], prev, 0, div[t])
+            a[t] = _reduce_row(a[t], a[t], prev, 0, div[t], 0)
         piv = a[t][c]
         s = min(lo, c)
         top = a[t][s:]
+        top_sum = sum(top)
         for i in range(t + 1, m):
             row = a[i]
             f = row[c]
             if f:
-                row[s:] = _reduce_row(row[s:], top, piv, f, div[i])
+                row[s:] = _reduce_row(row[s:], top, piv, f, div[i], top_sum)
                 div[i] = piv
         pivots.append(c)
         prev = piv
@@ -208,7 +245,7 @@ def dot(u: Sequence[int], w: Sequence[int]) -> int:
     """Exact inner product of two equal-length integer vectors."""
     if len(u) != len(w):
         raise ValueError(f"length mismatch: {len(u)} vs {len(w)}")
-    return sum(int(a) * int(b) for a, b in zip(u, w))
+    return sum(map(mul, map(index, u), map(index, w)))
 
 
 def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """The construction pipeline: seed, transform, rows, vector, subsets, certificates."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from bindet import (
     IntMatrix,
     InternalInvariantError,
     TargetOutOfRangeError,
+    best_k,
     binarizing_transform,
     binary_rows,
     construct_matrix,
@@ -24,7 +26,7 @@ from bindet import (
     theorem_bound,
     verify_certificate,
 )
-from bindet import construction
+from bindet import construction, exact
 
 
 class TestSeedMatrix:
@@ -301,6 +303,54 @@ def test_dot_product_certificate_matches_full_determinant(case):
     cert = construct_matrix(n, a, k)
     assert cert.certified_det == det_exact(cert.matrix) == a
     assert cert.sign_swap_applied == (a < 0)
+
+
+@pytest.mark.parametrize("n", [*range(4, 41), 64, 96, 128])
+def test_constructed_matrix_needs_no_revalidation(n):
+    # construct_matrix builds its IntMatrix without the public constructor's
+    # per-entry conversion; the result must be what that constructor makes.
+    rng = random.Random(n)
+    best = best_k(n)
+    for k in sorted({best, 2 if best != 2 else n // 2}):
+        bound = theorem_bound(n, k)
+        targets = {0, 1, -1, bound, -bound, *(rng.randint(-bound, bound) for _ in range(3))}
+        for target in sorted(targets):
+            cert = construct_matrix(n, target, k)
+            rows = cert.matrix.rows
+            assert cert.matrix == IntMatrix.from_rows(rows)
+            assert type(rows) is tuple and len(rows) == n
+            for row in rows:
+                assert type(row) is tuple and len(row) == n
+                assert all(type(x) is int for x in row)
+            assert verify_certificate(cert) == []
+
+
+# SHA-256 of the certificate and of the bare matrix text of
+# construct_matrix(128, t) for t in 0, 1, -1 and +-theorem_bound(128, best_k(128)).
+FROZEN_128 = {
+    0: ("354ca34655078ba2683944f4a8eb892de3665c89730ee9d25bdb20019499cafb",
+        "8dc1dd06f5a0a8becafd85f95151f96acf0b7ea87fec853d6707835c662e73f5"),
+    1: ("3621daa436c3ff170ba3f6c895b1846993fdea902c8329346c4290b747ecc8c3",
+        "2b9e0ffad261f698071a575eb3d21aa6a3c6165bb10b352a64de7dd4332a1f89"),
+    -1: ("338e9a2401d82807ee12955c0981042fb752ecaa30153d50bef96ff57f9b2ff6",
+         "d7da8af86653c35daaaab1123ad67d30e10135e88ae770ad92a9698014505441"),
+    "bound": ("3d0621994fa5afca1515bfb077cc5bf4a7d8dfcc4e6b813ceb91aa86f51bab01",
+              "170a23c617faf55a170904b8c3ac5baecab3ef72c0618bffb92d4c873202fdcd"),
+    "-bound": ("16dadfba32c29fb0e484dfd62dd93f3ad33b1fc31c9ef43d03d324b9c6995274",
+               "c422d4c7e50f6c09938a8a7e9e3c952e778c02d07c78b421dfadd17f0c789d57"),
+}
+
+
+@pytest.mark.parametrize("which", list(FROZEN_128))
+def test_n128_documents_are_frozen(which):
+    bound = theorem_bound(128, best_k(128))
+    target = {"bound": bound, "-bound": -bound}.get(which, which)
+    cert = construct_matrix(128, target)
+    exact._row_text.cache_clear()
+    for _ in range(2):  # cold and warm row-text memo
+        digests = (hashlib.sha256(cert.to_text().encode()).hexdigest(),
+                   hashlib.sha256(cert.matrix.to_text().encode()).hexdigest())
+        assert digests == FROZEN_128[which]
 
 
 class TestCertificateSerialization:

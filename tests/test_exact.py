@@ -66,6 +66,49 @@ class TestIntMatrix:
             IntMatrix.from_text("hello\n")
 
 
+class TestEntryTypes:
+    """Entries go through operator.index: no truncation, no parsing."""
+
+    NON_INTEGERS = [1.5, 2.0, 2.9, "1", None]
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_matrix_rejects_non_integer_entries(self, bad):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([(bad, 0), (0, 1)])
+        with pytest.raises(TypeError):
+            IntMatrix(((1, 0), (0, bad)))
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_det_and_cofactors_reject_non_integer_entries(self, bad):
+        with pytest.raises(TypeError):
+            det_exact([[1, 0], [0, bad]])
+        with pytest.raises(TypeError):
+            cofactor_vector([(bad, 1)])
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    def test_dot_rejects_non_integer_entries(self, bad):
+        with pytest.raises(TypeError):
+            dot((bad, 1), (1, 1))
+        with pytest.raises(TypeError):
+            dot((1, 1), (1, bad))
+
+    def test_fractional_diagonal_is_not_truncated(self):
+        with pytest.raises(TypeError):
+            det_exact([[1.5, 0], [0, 2.9]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([(1.5, 0), (0, 2.9)])
+
+    def test_bools_and_numpy_integers_become_ints(self):
+        import numpy as np
+
+        m = IntMatrix.from_rows([(True, np.int64(2)), (np.uint8(3), False)])
+        assert m.rows == ((1, 2), (3, 0))
+        assert all(type(x) is int for row in m.rows for x in row)
+        assert m.to_text() == "2\n1 2\n3 0\n"
+        assert det_exact([[np.int64(2), True], [np.int8(-1), np.int64(5)]]) == 11
+        assert dot((True, np.int64(3)), (np.uint8(4), 2)) == 10
+
+
 class TestDetExact:
     def test_identity_5(self):
         assert det_exact(IntMatrix.identity(5)) == 1
@@ -221,9 +264,9 @@ def test_row_reduction_raises_iff_a_remainder_is_left(pairs, piv, f, d, scale):
     nums = [piv * x - f * y for x, y in pairs]
     if any(v % d for v in nums):
         with pytest.raises(InternalInvariantError):
-            exact._reduce_row(row, top, piv, f, d)
+            exact._reduce_row(row, top, piv, f, d, sum(top))
     else:
-        assert exact._reduce_row(row, top, piv, f, d) == [v // d for v in nums]
+        assert exact._reduce_row(row, top, piv, f, d, sum(top)) == [v // d for v in nums]
 
 
 @settings(max_examples=150, deadline=None)
@@ -280,3 +323,35 @@ def test_laplace_identity_any_top_row(rows, rnd):
     cof = cofactor_vector(rows[1:])
     top = tuple(rnd.randint(-2, 2) for _ in range(n))
     assert det_exact([top, *rows[1:]]) == dot(cof, top)
+
+
+# Entries around and beyond the 64-bit range, of both signs.
+text_entries = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2**70), 2**70),
+    st.integers(2**64, 2**80).flatmap(lambda x: st.sampled_from((x, -x))),
+)
+
+
+@st.composite
+def matrix_with_repeated_rows(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    pool = draw(st.lists(st.tuples(*[text_entries] * n), min_size=1, max_size=n))
+    return [draw(st.sampled_from(pool)) for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_with_repeated_rows())
+def test_to_text_formats_every_row_cold_and_warm(rows):
+    m = IntMatrix.from_rows(rows)
+    expected = "\n".join([str(len(rows)), *(" ".join(str(x) for x in row) for row in rows)]) + "\n"
+    exact._row_text.cache_clear()
+    assert m.to_text() == expected
+    hits = exact._row_text.cache_info().hits
+    assert m.to_text() == expected
+    assert exact._row_text.cache_info().hits == hits + len(rows)
+
+
+def test_row_text_memo_is_bounded():
+    maxsize = exact._row_text.cache_info().maxsize
+    assert type(maxsize) is int and maxsize > 0
