@@ -20,38 +20,60 @@ Two kernels live here (callers guarantee magnitudes fit):
   row ranges over all of {0,1}^n.  So the bitmap covers the full
   spectrum once the caller closes it under negation.  The sets are
   numbered in depth-first order (2,051 at n = 5, 140,199 at n = 6),
-  and a memoized count lets a walk start anywhere in that order;
+  and a memoized count lets a walk start anywhere in that order.  A
+  batch of sets gets its cofactors from shared minors: the minors of
+  the bottom r rows on every r-subset of columns are built once each,
+  from the (r-1)-minors, so a batch costs sum_r C(n, r) * r vector
+  multiply-adds, and one integer matmul expands the cofactors over the
+  2^n top rows;
 
 * ``family_bitmap``: given the first-row cofactors of fixed rows 2..n,
-  mark every determinant reachable by a 0/1 top row.
+  mark every determinant reachable by a 0/1 top row.  It sweeps the
+  nonzero cofactors in order of increasing magnitude, and each sweep
+  shifts only the window of cells reached so far.  For the
+  construction's near-geometric cofactors the windows add up to a small
+  multiple of the bitmap, not n times it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 _BATCH = 1 << 13  # row sets per exhaustive_chunk batch
 
 
-def _det_stack(mats: np.ndarray) -> np.ndarray:
-    """Exact int64 determinants of a (..., m, m) stack by cofactor expansion."""
-    m = mats.shape[-1]
-    if m == 1:
-        return mats[..., 0, 0].astype(np.int64, copy=True)
-    if m == 2:
-        return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    total = np.zeros(mats.shape[:-2], dtype=np.int64)
-    below = mats[..., 1:, :]
-    for j in range(m):
-        cols = [c for c in range(m) if c != j]
-        term = mats[..., 0, j] * _det_stack(below[..., cols])
-        if j % 2 == 0:
-            total += term
-        else:
-            total -= term
-    return total
+def _cofactors(rows: np.ndarray) -> np.ndarray:
+    """Exact first-row cofactors of a (batch, n-1, n) int64 stack of rows 2..n.
+
+    The minors of the bottom r rows are built for every r-subset of
+    columns, r = 1 .. n-1, each by one Laplace step along its top row
+    from the (r-1)-minors below it, so no minor is computed twice.  The
+    cofactor of column j is then (-1)^j times the minor on every column
+    but j.
+    """
+    batch, m, n = rows.shape
+    minors = {(): 1}
+    for r in range(1, m + 1):
+        top = rows[:, m - r].T
+        wider = {}
+        for cols in combinations(range(n), r):
+            acc = top[cols[0]] * minors[cols[1:]]
+            for i in range(1, r):
+                term = top[cols[i]] * minors[cols[:i] + cols[i + 1:]]
+                if i % 2:
+                    acc -= term
+                else:
+                    acc += term
+            wider[cols] = acc
+        minors = wider
+    cof = np.empty((batch, n), dtype=np.int64)
+    for j in range(n):
+        minor = minors[tuple(c for c in range(n) if c != j)]
+        cof[:, j] = minor if j % 2 == 0 else -minor
+    return cof
 
 
 @lru_cache(maxsize=None)
@@ -125,26 +147,26 @@ def exhaustive_chunk(n, start, stop, seen):
     offset = (seen.shape[0] - 1) // 2
     bits = np.arange(n, dtype=np.int64)
     tops = (np.arange(1 << n, dtype=np.int64)[:, None] >> bits) & 1
-    minor_cols = [[c for c in range(n) if c != j] for j in range(n)]
     for s in range(start, stop, _BATCH):
         e = min(stop, s + _BATCH)
         codes = np.array(_row_sets(n, s, e), dtype=np.int64)
-        rows = (codes[:, :, None] >> bits) & 1
-        cof = np.empty((e - s, n), dtype=np.int64)
-        for j, cols in enumerate(minor_cols):
-            d = _det_stack(rows[:, :, cols])
-            cof[:, j] = d if j % 2 == 0 else -d
-        dets = cof @ tops.T
+        dets = _cofactors((codes[:, :, None] >> bits) & 1) @ tops.T
         seen[dets.ravel() + offset] = 1
 
 
 def family_bitmap(cof, lo, seen):
-    """Subset-sum reachability by shift-or sweeps: seen[s - lo] for every subset sum s."""
-    seen[0 - lo] = 1
-    for c in cof:
-        c = int(c)
+    """Subset-sum reachability by shift-or sweeps: seen[s - lo] for every subset sum s.
+
+    The weights are swept in order of increasing magnitude, and each sweep
+    touches only the window [a, b] of cells reached so far, which starts at
+    the cell for 0.
+    """
+    a = b = -lo
+    seen[a] = 1
+    for c in sorted((int(c) for c in cof if c), key=abs):
         # The copy keeps one sweep from cascading a weight into itself.
+        seen[a + c:b + c + 1] |= seen[a:b + 1].copy()
         if c > 0:
-            seen[c:] |= seen[:-c].copy()
-        elif c < 0:
-            seen[:c] |= seen[-c:].copy()
+            b += c
+        else:
+            a += c

@@ -11,8 +11,9 @@ off it, and the value tuple is only built when it is asked for.
 
 spectrum_family takes its cofactors from exact.cofactor_vector, which
 shares one elimination routine with det_exact.  The independent paths are
-the int64 _det_stack kernels of the exhaustive oracle, det_permsum in the
-tests and perfbench/refimpl.py, which does not import bindet.
+the exhaustive oracle's int64 cofactors from shared minors (_kernels),
+det_permsum in the tests and perfbench/refimpl.py, which does not import
+bindet.
 """
 
 from __future__ import annotations

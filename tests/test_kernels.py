@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from bindet import _kernels, det_exact, spectrum_exhaustive
+from bindet import _kernels, cofactor_vector, det_exact, fib_prefix, spectrum_exhaustive
 
 
 def run_exhaustive(n, blocks):
@@ -87,21 +87,53 @@ def test_row_set_windows_concatenate_to_the_whole():
     assert sum(parts, []) == whole
 
 
+def _direct_subset_sums(cof):
+    return {sum(c for i, c in enumerate(cof) if mask >> i & 1) for mask in range(1 << len(cof))}
+
+
 def test_family_numpy_against_direct_subsets():
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(1, 10)
         cof = [rng.randint(-15, 15) for _ in range(n)]
-        expect = set()
-        for mask in range(1 << n):
-            expect.add(sum(c for i, c in enumerate(cof) if mask >> i & 1))
-        assert run_family(cof) == expect
+        assert run_family(cof) == _direct_subset_sums(cof)
 
 
-def test_det_stack_matches_exact():
-    rng = np.random.default_rng(8)
-    for m in range(1, 6):
-        mats = rng.integers(-2, 3, size=(40, m, m))
-        dets = _kernels._det_stack(mats)
-        for mat, d in zip(mats, dets):
-            assert int(d) == det_exact([tuple(int(x) for x in row) for row in mat])
+def _fibonacci_then_negated_tail(k, length, tail):
+    """k-step Fibonacci weights, then the last `tail` of them negated."""
+    w = fib_prefix(k, length)
+    return w[:length - tail] + [-x for x in w[length - tail:]]
+
+
+@pytest.mark.parametrize("cof", [
+    [0], [0, 0, 0], [0, 3, 0, -2, 0],  # zero cofactors
+    [5, 5, 5], [-4, -4, 4, 4], [2, -2, 2, -2, 7],  # repeated values
+    [1, 2, 3, 10, 40], [40, 10, 3, 2, 1],  # all positive
+    [-1, -2, -3, -10, -40], [-40, -10, -3, -2, -1],  # all negative
+    [9], [-9], [1], [-1],  # a single cofactor
+    [-9, 1, 2, 4], [9, -1, -2, -4],  # the largest against the rest
+    _fibonacci_then_negated_tail(2, 10, 3),
+    _fibonacci_then_negated_tail(3, 12, 4),
+    [-c for c in _fibonacci_then_negated_tail(4, 13, 5)],
+])
+def test_family_window_in_both_directions(cof):
+    # The window grows left for a negative weight and right for a positive
+    # one, in whatever order the weights arrive.
+    assert run_family(cof) == _direct_subset_sums(cof)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cofactors_match_exact(n):
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, 2, size=(60, n - 1, n))
+    if n > 2:
+        # A repeated row: every cofactor is zero.
+        dup = rng.integers(1, n - 1, size=20)
+        rows[np.arange(20), dup] = rows[np.arange(20), dup - 1]
+    cof = _kernels._cofactors(rows)
+    assert cof.dtype == np.int64 and cof.shape == (60, n)
+    for stack, got in zip(rows, cof):
+        expect = cofactor_vector([tuple(int(x) for x in row) for row in stack])
+        assert tuple(int(c) for c in got) == tuple(expect)
+    if n > 2:
+        assert not cof[:20].any()
