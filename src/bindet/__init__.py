@@ -47,7 +47,6 @@ _EXPORTS = {
     "oracle": (
         "ConstructionCheckReport",
         "SpectrumReport",
-        "smallest_missing_natural",
         "spectrum_exhaustive",
         "spectrum_family",
         "verify_construction",

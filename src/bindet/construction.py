@@ -19,10 +19,12 @@ is a line holding both v and the cofactors, and both have first entry 1.
 Hence det([t; R]) = v . t for every top row t, and each returned matrix is
 certified by that exact O(n) dot product (negated when the bottom two rows
 are swapped).  Neither check trusts the greedy scan or the Fibonacci
-recurrence.  Per target, then, only the top row is built, checked and
-formatted: the returned matrix shares the cached row tuples of R (the
-private ``IntMatrix._of_checked_rows`` skips re-converting them), and
-``IntMatrix.to_text`` finds their text in its row memo.
+recurrence.  The same per-(n, k) pass checks the subset weights and
+renders R as a head block plus its last two lines, which the sign swap
+exchanges.  Per target, then, only the top row is scanned, built,
+certified and formatted: the matrix shares the cached row tuples of R and
+carries its text, n and the top row's line joined to the cached block
+(through the private ``IntMatrix._of_checked_rows``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence
 
 from .errors import InternalInvariantError, TargetOutOfRangeError
 from .exact import IntMatrix, det_exact, dot, is_orthogonal_to_all
-from .fibk import best_k, fib_prefix, theorem_bound
+from .fibk import best_k, fib_prefix
 
 _CERT_HEADER = "certificate"
 _CERT_FIELDS = ("n", "k", "target", "subset", "sign_swap", "det")
@@ -144,6 +146,14 @@ def greedy_subset(weights: Sequence[int], target: int) -> tuple[int, ...]:
     conditions.
     """
     w = [int(x) for x in weights]
+    prefix = _complete_sum(w)
+    if not 0 <= target <= prefix:
+        raise ValueError(f"target {target} outside [0, {prefix}]")
+    return _greedy_scan(w, target)
+
+
+def _complete_sum(w: Sequence[int]) -> int:
+    """The sum of w, after the weight checks of greedy_subset (ValueError)."""
     if not w:
         raise ValueError("weights must be nonempty")
     for i, x in enumerate(w):
@@ -158,9 +168,11 @@ def greedy_subset(weights: Sequence[int], target: int) -> tuple[int, ...]:
                 f"completeness violated at weights[{i}] = {x} > {prefix} (prefix sum)"
             )
         prefix += x
-    if not 0 <= target <= prefix:
-        raise ValueError(f"target {target} outside [0, {prefix}]")
+    return prefix
 
+
+def _greedy_scan(w: Sequence[int], target: int) -> tuple[int, ...]:
+    """The greedy scan of greedy_subset over weights _complete_sum accepted."""
     chosen = []
     remaining = target
     for i in range(len(w) - 1, -1, -1):
@@ -265,42 +277,37 @@ def _is_canonical_int(tok: str) -> bool:
         return False
 
 
-def _lower_rows(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 2..n of every matrix constructed at (n, k), before any sign swap.
+def _lower_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Rows 2..n of each matrix constructed at (n, k), without and with sign swap.
 
     binary_rows(n, k)[1:] with rows 2 and 3 exchanged when the closed form
     (-1)^(n-k-1) of their unit-top-row determinant is -1, so that
-    det([e_1; R]) = 1 and subset sums come out with positive sign.
+    det([e_1; R]) = 1 and subset sums come out with positive sign; the
+    second order has the bottom two rows exchanged as well.
     """
     rows = binary_rows(n, k)[1:]
     if (n - k - 1) % 2:
         rows = (rows[1], rows[0]) + rows[2:]
-    return rows
-
-
-def _assemble(lower, subset: Sequence[int], sign_swap: bool) -> list[tuple[int, ...]]:
-    """The subset indicator over the lower rows, bottom two exchanged under sign_swap."""
-    n = len(lower) + 1
-    members = set(subset)
-    rows = [tuple(1 if j in members else 0 for j in range(n)), *lower]
-    if sign_swap:
-        rows[-1], rows[-2] = rows[-2], rows[-1]
-    return rows
+    return rows, rows[:-2] + (rows[-1], rows[-2])
 
 
 @lru_cache(maxsize=64)
-def _normalized_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
-    """Rows 2..n normalized to unit determinant, with v and the range bound.
+def _normalized_rows(n: int, k: int):
+    """All of a construction at (n, k) but the top row: checked and rendered once.
 
-    The determinant of the rows under a unit top row is checked to be 1,
-    confirming the closed form.  v is checked to be orthogonal to the rows,
-    which with the unit determinant and v[0] = 1 makes v their first-row
-    cofactor vector (module docstring).
+    Returns (lower, weights, v, bound, head, tails): lower from _lower_rows,
+    the orthogonal vector v, its subset weights v[:n-k] and their sum, and
+    head + tails[s] as the text of lower[s].  The determinant of the rows
+    under a unit top row is checked to be 1, confirming the closed form.  v
+    is checked to be orthogonal to the rows, which with the unit determinant
+    and v[0] = 1 makes v their first-row cofactor vector (module docstring).
+    The weights are checked once here, so per target only the scan runs.
     """
-    rows = _lower_rows(n, k)
+    lower = _lower_rows(n, k)
+    rows = lower[0]
     v = orthogonal_vector(n, k)
-    bound = theorem_bound(n, k)
-    if list(v[:n - k]) != fib_prefix(k, n - k):
+    weights = v[:n - k]
+    if list(weights) != fib_prefix(k, n - k):
         raise InternalInvariantError("orthogonal vector prefix is not the k-step sequence")
     d = det_exact([(1,) + (0,) * (n - 1), *rows])
     if d != 1:
@@ -312,7 +319,13 @@ def _normalized_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple
             f"orthogonal vector fails v[0] = 1 or orthogonality to rows 2..n "
             f"for n={n}, k={k}"
         )
-    return rows, v, bound
+    try:
+        bound = _complete_sum(weights)
+    except ValueError as exc:
+        raise InternalInvariantError(f"subset weights for n={n}, k={k}: {exc}") from None
+    lines = [" ".join(map(str, row)) + "\n" for row in rows]
+    tails = (lines[-2] + lines[-1], lines[-1] + lines[-2])
+    return lower, weights, v, bound, "".join(lines[:-2]), tails
 
 
 def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionCertificate:
@@ -332,17 +345,23 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
     if k is None:
         k = best_k(n)
     params = ConstructionParams(n, k)
-    rows, v, bound = _normalized_rows(n, k)
+    lower, weights, v, bound, head, tails = _normalized_rows(n, k)
     if abs(target) > bound:
         raise TargetOutOfRangeError(n, k, target, bound)
 
-    subset = greedy_subset(v[:n - k], abs(target))
+    subset = _greedy_scan(weights, abs(target))
     sign_swap = target < 0
-    built = _assemble(rows, subset, sign_swap)
-    top = built[0]
+    top = [0] * n
+    cells = ["0"] * n
+    for i in subset:
+        top[i] = 1
+        cells[i] = "1"
+    top = tuple(top)
     # Rows 2..n were certified as 0/1 int tuples by _normalized_rows and the
     # top row is built from int literals, so only squareness is rechecked.
-    matrix = IntMatrix._of_checked_rows(tuple(built))
+    matrix = IntMatrix._of_checked_rows(
+        (top, *lower[sign_swap]), f"{n}\n{' '.join(cells)}\n{head}{tails[sign_swap]}"
+    )
 
     certified = -dot(v, top) if sign_swap else dot(v, top)
     if certified != target:
@@ -391,10 +410,10 @@ def verify_certificate(cert: ConstructionCertificate) -> list[str]:
         ssum = sum(v[i] for i in cert.subset)
         if ssum != abs(cert.target):
             problems.append(f"subset sums to {ssum}, expected |target| = {abs(cert.target)}")
-    expected = _assemble(_lower_rows(n, k), cert.subset, cert.sign_swap_applied)
-    if cert.matrix.rows[0] != expected[0]:
+    members = set(cert.subset)
+    if cert.matrix.rows[0] != tuple(1 if j in members else 0 for j in range(n)):
         problems.append("matrix top row is not the subset indicator")
-    if list(cert.matrix.rows[1:]) != expected[1:]:
+    if cert.matrix.rows[1:] != _lower_rows(n, k)[cert.sign_swap_applied]:
         problems.append(f"rows 2..n are not the construction rows for n={n}, k={k}")
     # Row swaps permute but never change the set of non-top rows, so
     # orthogonality must hold on the stored matrix regardless of the flags.

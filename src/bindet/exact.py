@@ -18,25 +18,19 @@ divisor times the sum of its quotients.
 
 Entries are taken through ``operator.index``: ints, bools and numpy
 integers pass, while a float or a string raises TypeError instead of being
-truncated or parsed.  ``IntMatrix.to_text`` formats each row through a
-bounded memo keyed by the row tuple, so rows shared between matrices, such
-as the fixed lower rows of every construction at one (n, k), are formatted
-once.
+truncated or parsed.  ``IntMatrix.to_text`` formats every row directly,
+except for a matrix built by the private ``IntMatrix._of_checked_rows``,
+which carries its text: construction renders the fixed lower rows of each
+(n, k) once and formats only the top row per target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import index, mul
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
-
-# Rows whose text IntMatrix.to_text keeps.  A batch of constructions at one
-# (n, k) shares its n-1 lower row tuples, so a warm call formats only the
-# top row; this holds a few sizes' lower rows plus recent top rows.
-_ROW_TEXT_MEMO = 1024
 
 
 @dataclass(frozen=True)
@@ -44,6 +38,7 @@ class IntMatrix:
     """Immutable square matrix of arbitrary-precision integers."""
 
     rows: tuple[tuple[int, ...], ...]
+    _text = None  # not a field: the to_text output, set only by _of_checked_rows
 
     def __post_init__(self):
         norm = tuple(tuple(map(index, row)) for row in self.rows)
@@ -51,14 +46,17 @@ class IntMatrix:
         object.__setattr__(self, "rows", norm)
 
     @classmethod
-    def _of_checked_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+    def _of_checked_rows(cls, rows: tuple[tuple[int, ...], ...], text: str) -> "IntMatrix":
         """A matrix on rows the caller has already certified as tuples of ints.
 
         Skips the per-entry conversion and keeps only the squareness check.
+        text must be exactly what to_text would format from the rows; it is
+        returned by to_text as it is.
         """
         _check_square(rows)
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_text", text)
         return m
 
     @property
@@ -69,28 +67,18 @@ class IntMatrix:
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
         return cls(tuple(rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def is_binary(self) -> bool:
         return all(x in (0, 1) for row in self.rows for x in row)
-
-    def is_ternary(self) -> bool:
-        return all(x in (-1, 0, 1) for row in self.rows for x in row)
-
-    def with_rows_swapped(self, i: int, j: int) -> "IntMatrix":
-        rows = list(self.rows)
-        rows[i], rows[j] = rows[j], rows[i]
-        return IntMatrix(tuple(rows))
 
     def to_text(self) -> str:
         """Serialize to the shared matrix text format.
 
         Line 1 is n; lines 2..n+1 hold n space-separated decimal entries each.
         """
+        if self._text is not None:
+            return self._text
         lines = [str(self.n)]
-        lines.extend(map(_row_text, self.rows))
+        lines.extend(" ".join(map(str, row)) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -102,17 +90,9 @@ def _check_square(rows: tuple[tuple[int, ...], ...]) -> None:
     n = len(rows)
     if n < 1:
         raise ValueError("matrix must have at least one row")
-    for row in rows:
-        if len(row) != n:
-            raise ValueError(
-                f"matrix is not square: {n} rows but a row of length {len(row)}"
-            )
-
-
-@lru_cache(maxsize=_ROW_TEXT_MEMO)
-def _row_text(row: tuple[int, ...]) -> str:
-    """One matrix text line: the row's entries in decimal, space-separated."""
-    return " ".join(map(str, row))
+    if set(map(len, rows)) != {n}:
+        length = next(len(row) for row in rows if len(row) != n)
+        raise ValueError(f"matrix is not square: {n} rows but a row of length {length}")
 
 
 def parse_rows(text: str, extra: int = 0) -> tuple[tuple[int, ...], ...]:

@@ -35,9 +35,12 @@ def fib_prefix(k: int, m: int) -> list[int]:
     """F_k(1), ..., F_k(m) as exact integers (empty list for m <= 0)."""
     _check_k(k)
     vals: list[int] = []
+    window = 0  # F_k(j-k) + ... + F_k(j-1), which is F_k(j) for j >= 2
     for j in range(1, m + 1):
-        # Terms with index <= 0 are zero, so the window clips at the start.
-        vals.append(1 if j == 1 else sum(vals[max(0, j - 1 - k):j - 1]))
+        x = 1 if j == 1 else window
+        vals.append(x)
+        # Terms with index <= 0 are zero, so nothing leaves the window early.
+        window += x - (vals[j - 1 - k] if j > k else 0)
     return vals
 
 
@@ -148,15 +151,19 @@ def corollary_bound(n: int) -> int:
 def best_k(n: int) -> int:
     """The step count maximizing theorem_bound(n, k), ties toward smaller k.
 
-    Exhaustive over the admissible k in {2, ..., n // 2}; this never does
-    worse than the floor(log2 n) rule.  Memoized per n, since every
-    construction with a default k asks for it.
+    Scans k = 2, 3, ... up to n // 2, so it never does worse than the
+    floor(log2 n) rule, and stops once 2^(n-k-1) is at most the best bound
+    so far: F_k(j) <= 2^(j-2) gives theorem_bound(n, k) <= 2^(n-k-1), which
+    falls as k grows.  Memoized per n, since every default-k construction
+    asks for it.
     """
     if n < 4:
         raise ValueError(f"need n >= 4 for an admissible k, got {n}")
     best = 2
     best_bound = theorem_bound(n, 2)
     for k in range(3, n // 2 + 1):
+        if 1 << (n - k - 1) <= best_bound:
+            break
         b = theorem_bound(n, k)
         if b > best_bound:
             best, best_bound = k, b

@@ -89,15 +89,6 @@ class SpectrumReport:
         return "\n".join(lines) + "\n"
 
 
-def smallest_missing_natural(values: Iterable[int]) -> int:
-    """Least d >= 1 absent from values."""
-    present = set(values)
-    d = 1
-    while d in present:
-        d += 1
-    return d
-
-
 def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> SpectrumReport:
     """Exact determinant spectrum over all 2^(n^2) binary n x n matrices.
 

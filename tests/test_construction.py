@@ -26,7 +26,7 @@ from bindet import (
     theorem_bound,
     verify_certificate,
 )
-from bindet import construction, exact
+from bindet import construction
 
 
 class TestSeedMatrix:
@@ -47,7 +47,7 @@ class TestSeedMatrix:
     def test_ternary_lower_triangular(self):
         for n, k in ((8, 2), (9, 4), (20, 5)):
             m = seed_matrix(n, k)
-            assert m.is_ternary()
+            assert all(x in (-1, 0, 1) for row in m.rows for x in row)
             assert all(m.rows[i][j] == 0 for i in range(n) for j in range(i + 1, n))
 
     def test_determinant_closed_form(self):
@@ -345,12 +345,45 @@ FROZEN_128 = {
 def test_n128_documents_are_frozen(which):
     bound = theorem_bound(128, best_k(128))
     target = {"bound": bound, "-bound": -bound}.get(which, which)
-    cert = construct_matrix(128, target)
-    exact._row_text.cache_clear()
-    for _ in range(2):  # cold and warm row-text memo
+    construction._normalized_rows.cache_clear()
+    for _ in range(2):  # lower rows rendered cold, then taken from the (n, k) cache
+        cert = construct_matrix(128, target)
         digests = (hashlib.sha256(cert.to_text().encode()).hexdigest(),
                    hashlib.sha256(cert.matrix.to_text().encode()).hexdigest())
         assert digests == FROZEN_128[which]
+
+
+def test_per_target_work_leaves_the_nk_cache_alone():
+    # Only the first construct at an (n, k) may do the per-(n, k) work.
+    construct_matrix(96, 0)
+    before = construction._normalized_rows.cache_info()
+    bound = theorem_bound(96, best_k(96))
+    targets = (1, -1, bound, -bound, 12345, -67890)
+    for target in targets:
+        construct_matrix(96, target)
+    after = construction._normalized_rows.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + len(targets)
+
+
+@st.composite
+def any_admissible_target(draw):
+    n = draw(st.integers(4, 160))
+    k = draw(st.one_of(st.none(), st.integers(2, n // 2)))
+    bound = theorem_bound(n, best_k(n) if k is None else k)
+    a = draw(st.one_of(st.sampled_from((0, 1, -1, bound, -bound)), st.integers(-bound, bound)))
+    return n, k, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_admissible_target())
+def test_rendered_text_matches_the_rows(case):
+    # The matrix text is composed from lines rendered once per (n, k); it
+    # must be what formatting the rows afresh gives, and parse back.
+    n, k, a = case
+    cert = construct_matrix(n, a, k)
+    assert cert.matrix.to_text() == IntMatrix(cert.matrix.rows).to_text()
+    assert ConstructionCertificate.from_text(cert.to_text()) == cert
 
 
 class TestCertificateSerialization:

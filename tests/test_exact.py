@@ -35,9 +35,9 @@ def det_permsum(rows):
 
 class TestIntMatrix:
     def test_identity(self):
-        m = IntMatrix.identity(4)
+        m = IntMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
         assert m.n == 4
-        assert m.is_binary() and m.is_ternary()
+        assert m.is_binary()
         assert det_exact(m) == 1
 
     def test_rejects_ragged(self):
@@ -51,7 +51,6 @@ class TestIntMatrix:
     def test_flags_are_checked_not_trusted(self):
         m = IntMatrix.from_rows([(1, 0), (-1, 2)])
         assert not m.is_binary()
-        assert not m.is_ternary()
 
     def test_text_round_trip(self):
         m = IntMatrix.from_rows([(1, 0, 1), (0, 1, 1), (1, 1, 0)])
@@ -111,7 +110,7 @@ class TestEntryTypes:
 
 class TestDetExact:
     def test_identity_5(self):
-        assert det_exact(IntMatrix.identity(5)) == 1
+        assert det_exact([[int(i == j) for j in range(5)] for i in range(5)]) == 1
 
     def test_repeated_row_is_singular(self):
         m = [(1, 0, 1), (1, 0, 1), (0, 1, 1)]
@@ -137,11 +136,11 @@ class TestDetExact:
         rng = random.Random(99)
         for _ in range(300):
             n = rng.randint(2, 6)
-            m = IntMatrix.from_rows(
-                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            )
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             i, j = rng.sample(range(n), 2)
-            assert det_exact(m.with_rows_swapped(i, j)) == -det_exact(m)
+            swapped = list(rows)
+            swapped[i], swapped[j] = rows[j], rows[i]
+            assert det_exact(swapped) == -det_exact(rows)
 
     def test_large_entries_stay_exact(self):
         big = 10**40
@@ -342,16 +341,8 @@ def matrix_with_repeated_rows(draw, max_n=6):
 
 @settings(max_examples=150, deadline=None)
 @given(matrix_with_repeated_rows())
-def test_to_text_formats_every_row_cold_and_warm(rows):
+def test_to_text_formats_every_row(rows):
     m = IntMatrix.from_rows(rows)
     expected = "\n".join([str(len(rows)), *(" ".join(str(x) for x in row) for row in rows)]) + "\n"
-    exact._row_text.cache_clear()
     assert m.to_text() == expected
-    hits = exact._row_text.cache_info().hits
-    assert m.to_text() == expected
-    assert exact._row_text.cache_info().hits == hits + len(rows)
-
-
-def test_row_text_memo_is_bounded():
-    maxsize = exact._row_text.cache_info().maxsize
-    assert type(maxsize) is int and maxsize > 0
+    assert IntMatrix.from_text(expected) == m

@@ -45,6 +45,14 @@ class TestFibK:
         with pytest.raises(ValueError, match="at least 2"):
             fib_k(1, 5)
 
+    def test_prefix_matches_the_window_sum_definition(self):
+        for k in range(2, 13):
+            vals = []
+            for j in range(1, 81):
+                vals.append(1 if j == 1 else sum(vals[max(0, j - 1 - k):j - 1]))
+            for m in range(81):
+                assert fib_prefix(k, m) == vals[:m]
+
 
 class TestTheoremBound:
     def test_10_3(self):
@@ -171,6 +179,13 @@ class TestBestK:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             best_k(3)
+
+    def test_early_stop_matches_exhaustive_scan(self):
+        # best_k stops once 2^(n-k-1) cannot beat the best bound; the argmax
+        # over every admissible k, ties toward smaller k, must agree.
+        for n in range(4, 301):
+            bounds = [theorem_bound(n, k) for k in range(2, n // 2 + 1)]
+            assert best_k(n) == 2 + bounds.index(max(bounds)), n
 
 
 def test_bound_table_fields():

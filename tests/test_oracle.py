@@ -18,7 +18,6 @@ from bindet import (
     binary_rows,
     cofactor_vector,
     det_exact,
-    smallest_missing_natural,
     spectrum_exhaustive,
     spectrum_family,
     theorem_bound,
@@ -27,11 +26,13 @@ from bindet import (
 )
 
 
-class TestSmallestMissingNatural:
-    def test_examples(self):
-        assert smallest_missing_natural({0, 1}) == 2
-        assert smallest_missing_natural({-1, 0, 1, 2, 3, 5}) == 4
-        assert smallest_missing_natural(()) == 1
+def smallest_missing_natural(values):
+    """Independent oracle for SpectrumReport.d: the least d >= 1 absent from values."""
+    present = set(values)
+    d = 1
+    while d in present:
+        d += 1
+    return d
 
 
 class TestSpectrumExhaustive:
