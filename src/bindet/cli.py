@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .construction import (
@@ -40,8 +39,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _alpha_text(alpha: Fraction) -> str:
-    """alpha in [1, 10) to 30 significant digits, trailing zeros stripped.
+def _alpha_text(alpha) -> str:
+    """The Fraction alpha in [1, 10) to 30 significant digits, trailing zeros stripped.
 
     Reproduces mpmath.nstr(alpha, 30): floor to 33 significant digits,
     round half up at the 30th.
@@ -100,17 +99,34 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _unlimited_digits(cmd, args) -> int:
+    """cmd(args) with Python's int-to-str digit limit lifted, then restored.
+
+    For bound and fib, which print bindet's own integers; parsing keeps it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return cmd(args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def cmd_bound(args) -> int:
     table = bound_table(args.n, args.k)
     alpha = _alpha_text(table.alpha)
     if args.format == "pretty":
-        print(f"n = {table.n}, k = {table.k}")
-        print(f"constructive range (prefix-sum bound): {table.theorem_bound}")
-        print(f"closed-form bound floor(2^n/(201 n)): {table.corollary_bound}")
-        print(f"growth root alpha_{table.k} = {alpha}")
-        print(f"bound-maximizing k for this n: {table.best_k}")
+        text = (
+            f"n = {table.n}, k = {table.k}\n"
+            f"constructive range (prefix-sum bound): {table.theorem_bound}\n"
+            f"closed-form bound floor(2^n/(201 n)): {table.corollary_bound}\n"
+            f"growth root alpha_{table.k} = {alpha}\n"
+            f"bound-maximizing k for this n: {table.best_k}\n"
+        )
     else:
-        sys.stdout.write(
+        text = (
             "bound\n"
             f"n {table.n}\n"
             f"k {table.k}\n"
@@ -120,22 +136,18 @@ def cmd_bound(args) -> int:
             f"best_k {table.best_k}\n"
             "end\n"
         )
+    sys.stdout.write(text)  # whole, so that a failure prints nothing
     return 0
 
 
 def cmd_fib(args) -> int:
     if args.count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
-    vals = fib_prefix(args.k, args.count)
+    values = " ".join(map(str, fib_prefix(args.k, args.count)))
     if args.format == "pretty":
-        print(f"F_{args.k}(1..{args.count}): " + " ".join(str(v) for v in vals))
+        print(f"F_{args.k}(1..{args.count}): {values}")
     else:
-        sys.stdout.write(
-            "fib\n"
-            f"k {args.k}\n"
-            f"count {args.count}\n"
-            "values " + " ".join(str(v) for v in vals) + "\nend\n"
-        )
+        sys.stdout.write(f"fib\nk {args.k}\ncount {args.count}\nvalues {values}\nend\n")
     return 0
 
 
@@ -268,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.func in (cmd_bound, cmd_fib):
+            return _unlimited_digits(args.func, args)
         return args.func(args)
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)

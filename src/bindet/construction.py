@@ -24,16 +24,17 @@ renders R as a head block plus its last two lines, which the sign swap
 exchanges.  Per target, then, only the top row is scanned, built,
 certified and formatted: the matrix shares the cached row tuples of R and
 carries its text, n and the top row's line joined to the cached block
-(through the private ``IntMatrix._of_checked_rows``).
+(through the private ``IntMatrix._of_checked_rows``).  The parameters and
+the certificate are immutable ``_record.Record`` instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 from typing import Sequence
 
+from ._record import Record, _set
 from .errors import InternalInvariantError, TargetOutOfRangeError
 from .exact import IntMatrix, det_exact, dot, is_orthogonal_to_all
 from .fibk import best_k, fib_prefix
@@ -42,18 +43,18 @@ _CERT_HEADER = "certificate"
 _CERT_FIELDS = ("n", "k", "target", "subset", "sign_swap", "det")
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(Record):
     """Matrix size n and step count k; requires k >= 2 and n >= 2k."""
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"step count k must be at least 2, got {self.k}")
-        if self.n < 2 * self.k:
-            raise ValueError(f"need n >= 2k, got n={self.n}, k={self.k}")
+    def __init__(self, n: int, k: int):
+        if k < 2:
+            raise ValueError(f"step count k must be at least 2, got {k}")
+        if n < 2 * k:
+            raise ValueError(f"need n >= 2k, got n={n}, k={k}")
+        _set(self, "n", n)
+        _set(self, "k", k)
 
 
 def seed_matrix(n: int, k: int) -> IntMatrix:
@@ -184,8 +185,7 @@ def _greedy_scan(w: Sequence[int], target: int) -> tuple[int, ...]:
     return tuple(reversed(chosen))
 
 
-@dataclass(frozen=True)
-class ConstructionCertificate:
+class ConstructionCertificate(Record):
     """Full witness of one synthesis, re-checkable without trusting the builder.
 
     subset holds 0-based positions into orthogonal_vector(n, k); the text
@@ -195,12 +195,8 @@ class ConstructionCertificate:
     (n, k) and the top row is matrix.rows[0].
     """
 
-    params: ConstructionParams
-    target: int
-    subset: tuple[int, ...]
-    sign_swap_applied: bool
-    matrix: IntMatrix
-    certified_det: int
+    __slots__ = ("params", "target", "subset", "sign_swap_applied", "matrix",
+                 "certified_det")
 
     def to_text(self) -> str:
         lines = [
@@ -259,14 +255,7 @@ class ConstructionCertificate:
             det = int(fields["det"])
         except ValueError:
             raise ValueError("certificate has a malformed field value") from None
-        return cls(
-            params=ConstructionParams(n, k),
-            target=target,
-            subset=subset,
-            sign_swap_applied=sign_swap,
-            matrix=matrix,
-            certified_det=det,
-        )
+        return cls(ConstructionParams(n, k), target, subset, sign_swap, matrix, det)
 
 
 def _is_canonical_int(tok: str) -> bool:
@@ -368,14 +357,7 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
         raise InternalInvariantError(
             f"certification failed: built determinant {certified}, wanted {target}"
         )
-    return ConstructionCertificate(
-        params=params,
-        target=target,
-        subset=subset,
-        sign_swap_applied=sign_swap,
-        matrix=matrix,
-        certified_det=certified,
-    )
+    return ConstructionCertificate(params, target, subset, sign_swap, matrix, certified)
 
 
 def verify_certificate(cert: ConstructionCertificate) -> list[str]:

@@ -18,32 +18,32 @@ divisor times the sum of its quotients.
 
 Entries are taken through ``operator.index``: ints, bools and numpy
 integers pass, while a float or a string raises TypeError instead of being
-truncated or parsed.  ``IntMatrix.to_text`` formats every row directly,
-except for a matrix built by the private ``IntMatrix._of_checked_rows``,
-which carries its text: construction renders the fixed lower rows of each
-(n, k) once and formats only the top row per target.
+truncated or parsed.  ``IntMatrix`` is a ``_record.Record``.  Its
+``to_text`` formats every row directly, except for a matrix built by the
+private ``IntMatrix._of_checked_rows``, which carries its text (a slot, not
+a field): construction renders the fixed lower rows of each (n, k) once and
+formats only the top row per target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index, mul
 from typing import Iterable, Sequence
 
+from ._record import Record, _set
 from .errors import InternalInvariantError
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable square matrix of arbitrary-precision integers."""
 
-    rows: tuple[tuple[int, ...], ...]
-    _text = None  # not a field: the to_text output, set only by _of_checked_rows
+    __slots__ = ("rows", "_text")  # _text: the to_text output, or None
 
-    def __post_init__(self):
-        norm = tuple(tuple(map(index, row)) for row in self.rows)
+    def __init__(self, rows: Iterable[Sequence[int]]):
+        norm = tuple(tuple(map(index, row)) for row in rows)
         _check_square(norm)
-        object.__setattr__(self, "rows", norm)
+        _set(self, "rows", norm)
+        _set(self, "_text", None)
 
     @classmethod
     def _of_checked_rows(cls, rows: tuple[tuple[int, ...], ...], text: str) -> "IntMatrix":
@@ -55,8 +55,8 @@ class IntMatrix:
         """
         _check_square(rows)
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "_text", text)
+        _set(m, "rows", rows)
+        _set(m, "_text", text)
         return m
 
     @property

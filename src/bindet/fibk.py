@@ -11,16 +11,21 @@ All arithmetic is exact.  alpha_k is located by bisection on dyadic
 rationals m / 2^p, each step deciding by the sign of an integer, and is
 returned as a fractions.Fraction; wherever an inequality against a power
 of alpha_k has to be certified, the upper end of the bisection bracket
-stands in for alpha_k.
+stands in for alpha_k.  Only the bisection imports ``fractions``, so
+``construct`` and ``verify`` never load it.  ``BoundTable`` is a
+``_record.Record``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import InternalInvariantError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _MAX_PRECISION_BITS = 1 << 14
 _BASE_BITS = 128  # bisection bits for alpha_k: its bracket is at most 2^-112 wide
@@ -74,6 +79,8 @@ def _alpha_bracket(k: int, bits: int) -> tuple[Fraction, Fraction]:
     The bracket [m / 2^p, (m+1) / 2^p] starts at p = k - 1 and is halved
     until p reaches max(bits - 16, k + 2).
     """
+    from fractions import Fraction  # not at the top: construct and verify skip it
+
     m, p = (1 << k) - 1, k - 1
     while p < max(bits - 16, k + 2):
         m, p = 2 * m + 1, p + 1  # the midpoint of the current bracket
@@ -115,7 +122,7 @@ def fib_closed_form(k: int, j: int) -> int:
         a = (lo + hi) / 2
         val = a ** (j - 1) * (a - 1) / (k * (a - 2) + a)
         nearest = round(val)
-        if abs(val - nearest) <= Fraction(1, 4):
+        if 4 * abs(val - nearest) <= 1:
             return nearest
         bits *= 2
     raise InternalInvariantError(
@@ -170,30 +177,17 @@ def best_k(n: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class BoundTable:
+class BoundTable(Record):
     """Per-(n, k) bound summary as reported by the CLI.
 
     alpha is alpha_k(k): the exact dyadic Fraction at the midpoint of the
     bisection bracket, not a rounded decimal.
     """
 
-    n: int
-    k: int
-    theorem_bound: int
-    corollary_bound: int
-    alpha: Fraction
-    best_k: int
+    __slots__ = ("n", "k", "theorem_bound", "corollary_bound", "alpha", "best_k")
 
 
 def bound_table(n: int, k: int | None = None) -> BoundTable:
     if k is None:
         k = best_k(n)
-    return BoundTable(
-        n=n,
-        k=k,
-        theorem_bound=theorem_bound(n, k),
-        corollary_bound=corollary_bound(n),
-        alpha=alpha_k(k),
-        best_k=best_k(n),
-    )
+    return BoundTable(n, k, theorem_bound(n, k), corollary_bound(n), alpha_k(k), best_k(n))

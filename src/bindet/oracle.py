@@ -13,7 +13,7 @@ spectrum_family takes its cofactors from exact.cofactor_vector, which
 shares one elimination routine with det_exact.  The independent paths are
 the exhaustive oracle's int64 cofactors from shared minors (_kernels),
 det_permsum in the tests and perfbench/refimpl.py, which does not import
-bindet.
+bindet.  The reports are immutable ``_record.Record`` instances.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _kernels
+from ._record import Record
 from .construction import (
     binarizing_transform,
     binary_rows,
@@ -47,19 +47,17 @@ _FAMILY_MAX_CELLS = 1 << 28
 _INT64_GUARD = 1 << 62
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Determinants reached by one enumeration, held as their bitmap.
 
     seen[v - lo] is set exactly for the reached values v, and lo <= 0.  count
     and d are read off the bitmap; the values tuple is built on first access.
+    A report holds an array, so it compares by identity.
     """
 
-    n: int
-    mode: str
-    seen: np.ndarray
-    lo: int
-    elapsed: float
+    __slots__ = ("n", "mode", "seen", "lo", "elapsed", "__dict__")  # for values
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @cached_property
     def values(self) -> tuple[int, ...]:
@@ -93,16 +91,9 @@ def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> Spectr
     """Exact determinant spectrum over all 2^(n^2) binary n x n matrices.
 
     Rows 2..n are enumerated as doubly-lexical sets of n-1 distinct binary
-    rows: the rows strictly decrease and the columns do not increase, both
-    in lexicographic order.  Some row and column permutation brings every
-    set of distinct rows to such a set (Lubiw's doubly lexical ordering),
-    and neither permutation changes the reachable values up to sign: a
-    row permutation flips the determinant's sign, a column permutation
-    permutes the first-row cofactors and flips their sign while the top
-    row ranges over all of {0,1}^n.  A repeated row gives determinant 0, which the zero top
-    row reaches anyway.  So the union over the sets, closed under
-    negation, is the whole spectrum: 2,051 sets at n = 5 and 140,199 at
-    n = 6 instead of 2^(n(n-1)) row assignments.  The sets, numbered in
+    rows, whose union closed under negation is the whole spectrum (the
+    _kernels docstring has the argument): 2,051 sets at n = 5 and 140,199
+    at n = 6 instead of 2^(n(n-1)) row assignments.  The sets, numbered in
     depth-first order, are split into min(workers, CPU count, sets)
     contiguous blocks, one thread and one bitmap each, and merged by
     bitmap union, so the result is identical for every worker count.  n
@@ -205,22 +196,17 @@ def verify_laplace_identity(
     return True
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        super().__init__(name, passed, detail)
 
 
-@dataclass(frozen=True)
-class ConstructionCheckReport:
+class ConstructionCheckReport(Record):
     """Aggregated self-test of the construction at one (n, k)."""
 
-    n: int
-    k: int
-    checks: tuple[CheckResult, ...]
-    targets_swept: int
-    elapsed: float
+    __slots__ = ("n", "k", "checks", "targets_swept", "elapsed")
 
     @property
     def all_passed(self) -> bool:
@@ -248,9 +234,9 @@ def verify_construction(
     Checks: all binarized entries in {0,1}; binary_rows' row-sum formula
     against the matrix product; orthogonality of the recurrence vector to
     rows 2..n of both the seed and the binarized matrix; the unit-top-row
-    determinant being (-1)^(n-k-1); and a full (or sampled, above
-    sweep_limit) sweep of targets through construct_matrix with exact
-    certification.  Failures are reported, not raised.
+    determinant being (-1)^(n-k-1); and a full (or, past max(sweep_limit,
+    sample) targets, sampled) sweep of targets through construct_matrix
+    with exact certification.  Failures are reported, not raised.
     """
     t0 = time.perf_counter()
     checks: list[CheckResult] = []
@@ -284,16 +270,12 @@ def verify_construction(
 
     d = det_exact(rows)
     expect = -1 if (n - k - 1) % 2 else 1
-    checks.append(
-        CheckResult(
-            "unit_determinant",
-            d == expect,
-            "" if d == expect else f"got {d}, expected {expect}",
-        )
-    )
+    detail = "" if d == expect else f"got {d}, expected {expect}"
+    checks.append(CheckResult("unit_determinant", d == expect, detail))
 
     bound = theorem_bound(n, k)
-    if 2 * bound + 1 <= sweep_limit:
+    # Sampling could never pick sample distinct targets from fewer.
+    if 2 * bound + 1 <= max(sweep_limit, sample):
         targets: Iterable[int] = range(-bound, bound + 1)
     else:
         rng = random.Random(seed)
@@ -317,10 +299,4 @@ def verify_construction(
             break
     checks.append(CheckResult("target_sweep", ok, detail))
 
-    return ConstructionCheckReport(
-        n=n,
-        k=k,
-        checks=tuple(checks),
-        targets_swept=swept,
-        elapsed=time.perf_counter() - t0,
-    )
+    return ConstructionCheckReport(n, k, tuple(checks), swept, time.perf_counter() - t0)

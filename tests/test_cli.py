@@ -9,12 +9,16 @@ from pathlib import Path
 import pytest
 
 import bindet
+from bindet import fib_prefix
 from bindet.cli import main
 
 # The alpha line of `bound --n 2k --k k --format structured` for k = 2..125,
 # frozen from the release that printed alpha with mpmath.nstr(alpha_k, 30).
 ALPHA_FIXTURE = Path(__file__).parent / "data" / "bound_alpha.txt"
 SRC = Path(bindet.__file__).resolve().parents[1]
+# Python's int-to-str digit limit (4,300 by default) exists from 3.10.7 on.
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="no int-to-str digit limit")
 
 
 def run(capsys, *argv):
@@ -206,6 +210,43 @@ class TestBound:
         assert proc.returncode == 0, proc.stderr
         assert "\nalpha 2.0\n" in proc.stdout
 
+    @needs_digit_limit
+    def test_prints_bounds_past_the_digit_limit(self, capsys):
+        # theorem_bound at n = 20000 has over 5,000 digits, past Python's
+        # default int-to-str limit of 4,300.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "bound", "--n", "20000", "--format", "structured")
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        fields = dict(line.split(" ", 1) for line in out.splitlines()[1:-1])
+        n, k = int(fields["n"]), int(fields["k"])
+        expected = sum(fib_prefix(k, n - k))
+        assert len(fields["theorem_bound"]) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(fields["theorem_bound"]) == expected
+            assert int(fields["corollary_bound"]) == (1 << n) // (201 * n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_pretty_bound_past_the_digit_limit(self, capsys):
+        code, out, err = run(capsys, "bound", "--n", "14300")
+        assert code == 0, err
+        assert len(out.splitlines()) == 5 and err == ""
+
+    @needs_digit_limit
+    def test_parsing_keeps_the_digit_limit(self, capsys, tmp_path):
+        # Formatting lifts the limit for bindet's own integers only: a
+        # 5,000-digit det field in a certificate is still refused cleanly,
+        # also after a bound run in the same process.
+        assert run(capsys, "bound", "--n", "20000", "--format", "structured")[0] == 0
+        _, text, _ = run(capsys, "construct", "--n", "10", "--det", "7", "--format", "structured")
+        path = tmp_path / "cert.txt"
+        path.write_text(text.replace("\ndet 7\n", "\ndet " + "9" * 5000 + "\n"))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("malformed certificate:") and "Traceback" not in err
+
 
 class TestFib:
     def test_values(self, capsys):
@@ -217,6 +258,15 @@ class TestFib:
     def test_rejects_bad_count(self, capsys):
         code, _, err = run(capsys, "fib", "--k", "3", "--count", "0")
         assert code == 1
+
+    @needs_digit_limit
+    def test_values_past_the_digit_limit(self, capsys):
+        # F_2(25000) has 5,225 digits.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "fib", "--k", "2", "--count", "25000")
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        assert len(out.split()[-1]) == 5225
 
 
 class TestSpectrum:
@@ -297,6 +347,21 @@ class TestSelftest:
         assert code == 0
         assert "selftest:" in out and "pass n=8" in out
 
+    @pytest.mark.parametrize("argv, swept", [
+        (("--n-max", "5", "--sweep-limit", "4"), {4: 5, 5: 9}),
+        (("--n-max", "4", "--sweep-limit", "0", "--sample", "100"), {4: 5}),
+        (("--n-max", "5", "--sweep-limit", "4", "--sample", "9"), {4: 5, 5: 9}),
+    ])
+    def test_range_smaller_than_the_sample_is_swept_whole(self, argv, swept):
+        # Ranges of 2 * bound + 1 = 5 and 9 targets, above the sweep limit
+        # but below the sample size: sampling them could never finish.  A
+        # subprocess, so that a hang fails the test instead of stalling it.
+        proc = run_process("-m", "bindet.cli", "selftest", "--k-max", "2", *argv,
+                           "--format", "structured", timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        expected = [f"pass n={n} k=2 targets {t}" for n, t in swept.items()]
+        assert proc.stdout.splitlines() == expected + [f"selftest: {len(swept)}/{len(swept)} cases passed"]
+
 
 @pytest.mark.parametrize("argv", [
     ("construct", "--n", "10", "--det", "7", "--out", "{missing}/cert.txt"),
@@ -327,15 +392,21 @@ def test_cli_runs_without_mpmath(tmp_path):
 
 
 def test_construct_verify_and_bound_load_no_numpy(tmp_path):
+    # construct and verify also import none of dataclasses, inspect and
+    # fractions, which cost more than the rest of `import bindet.cli`; bound
+    # may load fractions, for the growth root.  Modules the interpreter had
+    # loaded before bindet do not count.
     cert, matrix = tmp_path / "cert.txt", tmp_path / "matrix.txt"
     script = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from bindet.cli import main\n"
         f"assert main(['construct', '--n', '64', '--det', '-12345', '--out', {str(cert)!r}]) == 0\n"
         f"assert main(['construct', '--n', '64', '--det', '-12345', '--emit', 'matrix',"
         f" '--out', {str(matrix)!r}]) == 0\n"
         f"assert main(['verify', {str(cert)!r}]) == 0\n"
         f"assert main(['verify', {str(matrix)!r}]) == 0\n"
+        "print('loaded', sorted({'dataclasses', 'inspect', 'fractions'} & (set(sys.modules) - before)))\n"
         "assert main(['bound', '--n', '64']) == 0\n"
         "print(sorted({'numpy', 'mpmath', 'bindet.oracle', 'bindet._kernels'} & set(sys.modules)))\n"
     )
@@ -343,6 +414,7 @@ def test_construct_verify_and_bound_load_no_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "det = -12345" in proc.stdout and "det=-12345" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[]"
+    assert "loaded []" in proc.stdout.splitlines()
     # spectrum loads the oracle, and numpy with it, on demand.
     proc = run_process("-m", "bindet.cli", "spectrum", "--n", "3", "--format", "structured")
     assert proc.returncode == 0, proc.stderr

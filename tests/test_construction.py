@@ -1,6 +1,5 @@
 """The construction pipeline: seed, transform, rows, vector, subsets, certificates."""
 
-import dataclasses
 import hashlib
 import random
 
@@ -27,6 +26,14 @@ from bindet import (
     verify_certificate,
 )
 from bindet import construction
+
+CERT_FIELDS = ("params", "target", "subset", "sign_swap_applied", "matrix", "certified_det")
+
+
+def rebuilt(cert, **changes):
+    """A copy of cert with the given fields replaced, built by keyword."""
+    assert set(changes) <= set(CERT_FIELDS), changes
+    return ConstructionCertificate(**{f: changes.get(f, getattr(cert, f)) for f in CERT_FIELDS})
 
 
 class TestSeedMatrix:
@@ -431,9 +438,9 @@ class TestCertificateSerialization:
         # The swap flag does not change the matrix, so the determinant checks
         # alone cannot see it; the canonical-form check must.
         cert = construct_matrix(10, 20, 3)
-        flipped = dataclasses.replace(cert, sign_swap_applied=True)
+        flipped = rebuilt(cert, sign_swap_applied=True)
         assert any("sign_swap" in p for p in verify_certificate(flipped))
-        unflipped = dataclasses.replace(construct_matrix(10, -20, 3), sign_swap_applied=False)
+        unflipped = rebuilt(construct_matrix(10, -20, 3), sign_swap_applied=False)
         assert any("sign_swap" in p for p in verify_certificate(unflipped))
 
     @pytest.mark.parametrize("n, a, swaps", [
@@ -448,7 +455,7 @@ class TestCertificateSerialization:
         rows = list(cert.matrix.rows)
         for i, j in swaps:
             rows[i], rows[j] = rows[j], rows[i]
-        permuted = dataclasses.replace(cert, matrix=IntMatrix.from_rows(rows))
+        permuted = rebuilt(cert, matrix=IntMatrix.from_rows(rows))
         assert det_exact(permuted.matrix) == a
         assert verify_certificate(permuted) == [
             f"rows 2..n are not the construction rows for n={n}, k=3"
@@ -456,13 +463,13 @@ class TestCertificateSerialization:
 
     def test_verify_rejects_repeated_subset_index(self):
         cert = construct_matrix(10, 20, 3)
-        doubled = dataclasses.replace(cert, subset=cert.subset[:1] + cert.subset)
+        doubled = rebuilt(cert, subset=cert.subset[:1] + cert.subset)
         assert any("strictly increasing" in p for p in verify_certificate(doubled))
 
     def test_verify_rejects_unsorted_subset(self):
         cert = construct_matrix(10, 20, 3)
         assert len(cert.subset) >= 2
-        unsorted = dataclasses.replace(cert, subset=tuple(reversed(cert.subset)))
+        unsorted = rebuilt(cert, subset=tuple(reversed(cert.subset)))
         assert any("strictly increasing" in p for p in verify_certificate(unsorted))
 
     def test_from_text_rejects_sign_swap_other_than_0_or_1(self):

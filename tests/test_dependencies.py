@@ -1,4 +1,8 @@
-"""The declared runtime dependencies are exactly the third-party imports of src/bindet."""
+"""The declared runtime dependencies are exactly the third-party imports of src/bindet.
+
+Also: no module of src/bindet imports dataclasses, whose import (with
+inspect) cost more than the rest of `import bindet.cli`.
+"""
 
 import ast
 import re
@@ -12,14 +16,21 @@ tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def third_party_imports() -> set[str]:
-    names = set()
+def imports_by_module() -> dict[str, set[str]]:
+    """The top-level names each module of src/bindet imports, at any depth."""
+    found = {}
     for path in sorted((ROOT / "src" / "bindet").glob("*.py")):
+        names = found[path.name] = set()
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
+    return found
+
+
+def third_party_imports() -> set[str]:
+    names = set().union(*imports_by_module().values())
     return names - set(sys.stdlib_module_names) - {"bindet"}
 
 
@@ -31,3 +42,9 @@ def declared_dependencies() -> set[str]:
 
 def test_dependencies_match_imports():
     assert third_party_imports() == declared_dependencies() == {"numpy"}
+
+
+def test_no_module_imports_dataclasses():
+    found = imports_by_module()
+    assert "exact.py" in found and "cli.py" in found
+    assert [name for name, names in found.items() if "dataclasses" in names] == []
