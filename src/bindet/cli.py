@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--n", type=int, default=None, help="exhaustive spectrum at this size")
     grp.add_argument("--rows", default=None, help="family spectrum over fixed rows from a file")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--force", action="store_true", help="override the exhaustive size cap")
+    p.add_argument("--force", action="store_true",
+                   help="raise the exhaustive size cap from n=6 to n=7")
     p.add_argument("--no-values", action="store_true", help="omit the value list")
     p.add_argument("--out", default=None)
     add_format(p)

@@ -4,16 +4,16 @@ The exhaustive oracle reports the exact set of determinants reached by
 every binary matrix of a given size; the family oracle does the same for
 the 2^n matrices sharing fixed rows 2..n.  Both expand the free top row
 through the first-row Laplace expansion, which is an exact determinant
-identity for any rows, so the enumeration kernels only ever do 64-bit
+identity for any rows, so the enumeration kernels only ever do fixed-width
 integer work (magnitudes are pre-checked).  A report is the kernels'
 value bitmap itself: the count and the least missing natural d are read
 off it, and the value tuple is only built when it is asked for.
 
 spectrum_family takes its cofactors from exact.cofactor_vector, which
 shares one elimination routine with det_exact.  The independent paths are
-the exhaustive oracle's int64 cofactors from shared minors (_kernels),
-det_permsum in the tests and perfbench/refimpl.py, which does not import
-bindet.  The reports are immutable ``_record.Record`` instances.
+the exhaustive oracle's cofactors from a prefix tree of shared minors
+(_kernels), det_permsum in the tests and perfbench/refimpl.py, which does
+not import bindet.  The reports are immutable ``_record.Record`` instances.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .exact import cofactor_vector, det_exact, dot, is_orthogonal_to_all
 from .fibk import theorem_bound
 
 _EXHAUSTIVE_MAX_N = 6
+_EXHAUSTIVE_FORCE_MAX_N = 7
 _FAMILY_MAX_N = 30
 _FAMILY_MAX_CELLS = 1 << 28
 _INT64_GUARD = 1 << 62
@@ -91,24 +92,25 @@ def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> Spectr
     """Exact determinant spectrum over all 2^(n^2) binary n x n matrices.
 
     Rows 2..n are enumerated as doubly-lexical sets of n-1 distinct binary
-    rows, whose union closed under negation is the whole spectrum (the
-    _kernels docstring has the argument): 2,051 sets at n = 5 and 140,199
-    at n = 6 instead of 2^(n(n-1)) row assignments.  The sets, numbered in
-    depth-first order, are split into min(workers, CPU count, sets)
-    contiguous blocks, one thread and one bitmap each, and merged by
-    bitmap union, so the result is identical for every worker count.  n
-    above _EXHAUSTIVE_MAX_N = 6, the largest size the tests run, is
-    refused unless force is given.
+    rows, whose union closed under negation is the whole spectrum, and the
+    sets reduce to a few distinct cofactor keys (the _kernels docstring has
+    the argument): 2,051 sets at n = 5 and 140,199 at n = 6 instead of
+    2^(n(n-1)) row assignments.  The sets, numbered in depth-first order,
+    are split into min(workers, CPU count, sets) contiguous blocks, one
+    thread and one bitmap each, and merged by bitmap union, so the result
+    is identical for every worker count.  n above _EXHAUSTIVE_MAX_N = 6,
+    the largest size the tests run, is refused unless force is given, and
+    above 7 (2.8e7 sets) before any work, as n = 8 means 1.6e10 sets.
     """
     t0 = time.perf_counter()
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    if n > _EXHAUSTIVE_MAX_N and not force:
+    if n > (_EXHAUSTIVE_FORCE_MAX_N if force else _EXHAUSTIVE_MAX_N):
         raise EnumerationCapError(
-            f"exhaustive enumeration at n={n} means 2^{n * n} matrices "
-            f"(~{2.0 ** (n * n):.2e}); cap is n={_EXHAUSTIVE_MAX_N}, pass force to override"
+            f"exhaustive enumeration at n={n} means 2^{n * n} matrices; cap is "
+            f"n={_EXHAUSTIVE_MAX_N}, pass force to override up to n={_EXHAUSTIVE_FORCE_MAX_N}"
         )
     if n == 1:
         return SpectrumReport(1, "exhaustive", np.ones(2, dtype=np.uint8), 0,

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,20 @@ class TestSpectrum:
         code, _, err = run(capsys, "spectrum", "--n", "7")
         assert code == 1
         assert "force" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "8", "--force"), ("--n", "13", "--force", "--workers", "2"), ("--n", "40"),
+    ])
+    def test_force_has_a_hard_ceiling(self, capsys, argv):
+        # n = 8 would mean 1.6e10 row sets, n = 13 a 12 GB bitmap; n = 40
+        # once overflowed a float while formatting the refusal.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and out == ""
+        assert err == (f"error: exhaustive enumeration at n={argv[1]} means "
+                       f"2^{int(argv[1]) ** 2} matrices; cap is n=6, pass force to "
+                       "override up to n=7\n")
 
     def test_family_from_rows_file(self, capsys, tmp_path):
         path = tmp_path / "rows.txt"

@@ -107,6 +107,17 @@ class TestSpectrumExhaustive:
         with pytest.raises(EnumerationCapError, match="2\\^49"):
             spectrum_exhaustive(7)
 
+    def test_force_refuses_past_its_ceiling_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("enumeration work started")
+
+        for name in ("_tables", "family_count", "exhaustive_chunk"):
+            monkeypatch.setattr(_kernels, name, forbidden)
+        for n in (8, 13, 40, 10**6):
+            for force in (True, False):
+                with pytest.raises(EnumerationCapError, match=f"n={n} .* up to n=7"):
+                    spectrum_exhaustive(n, workers=2, force=force)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             spectrum_exhaustive(0)
