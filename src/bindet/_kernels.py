@@ -1,6 +1,6 @@
 """Enumeration kernels in vectorized numpy.
 
-Two kernels live here (callers guarantee magnitudes fit):
+Two kernels live here:
 
 * ``exhaustive_chunk``: enumerate rows 2..n of a binary matrix as
   doubly-lexical sets of n-1 distinct row codes, and mark every

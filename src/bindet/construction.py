@@ -31,13 +31,13 @@ the certificate are immutable ``_record.Record`` instances.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import add, index
 from typing import Sequence
 
 from ._record import Record, _set
 from .errors import InternalInvariantError, TargetOutOfRangeError
 from .exact import IntMatrix, det_exact, dot, is_orthogonal_to_all
-from .fibk import best_k, fib_prefix
+from .fibk import best_k, check_admissible, fib_prefix
 
 _CERT_HEADER = "certificate"
 _CERT_FIELDS = ("n", "k", "target", "subset", "sign_swap", "det")
@@ -49,10 +49,7 @@ class ConstructionParams(Record):
     __slots__ = ("n", "k")
 
     def __init__(self, n: int, k: int):
-        if k < 2:
-            raise ValueError(f"step count k must be at least 2, got {k}")
-        if n < 2 * k:
-            raise ValueError(f"need n >= 2k, got n={n}, k={k}")
+        check_admissible(n, k)
         _set(self, "n", n)
         _set(self, "k", k)
 
@@ -79,7 +76,7 @@ def seed_matrix(n: int, k: int) -> IntMatrix:
         for j in range(i - k, n - k + 1):
             row[j - 1] = 1
         rows.append(row)
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
 def binarizing_transform(n: int, k: int) -> IntMatrix:
@@ -95,7 +92,7 @@ def binarizing_transform(n: int, k: int) -> IntMatrix:
         for j in range(i, n + 1):
             if (j - i) % k == 0:
                 rows[i - 1][j - 1] = 1
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
 def binary_rows(n: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -144,9 +141,9 @@ def greedy_subset(weights: Sequence[int], target: int) -> tuple[int, ...]:
     sum of those before it (a complete sequence), and
     0 <= target <= sum(weights).  Scanning from the largest index and taking
     a weight whenever the remainder allows always succeeds under those
-    conditions.
+    conditions.  Weights are taken through operator.index, as in exact.
     """
-    w = [int(x) for x in weights]
+    w = [index(x) for x in weights]
     prefix = _complete_sum(w)
     if not 0 <= target <= prefix:
         raise ValueError(f"target {target} outside [0, {prefix}]")
@@ -329,8 +326,6 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
     row swap; a mismatch with the target is an internal error.
     verify_certificate recomputes the full determinant instead.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
     if k is None:
         k = best_k(n)
     params = ConstructionParams(n, k)

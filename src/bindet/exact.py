@@ -63,10 +63,6 @@ class IntMatrix(Record):
     def n(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(rows))
-
     def is_binary(self) -> bool:
         return all(x in (0, 1) for row in self.rows for x in row)
 

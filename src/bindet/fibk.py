@@ -36,6 +36,13 @@ def _check_k(k: int) -> None:
         raise ValueError(f"step count k must be at least 2, got {k}")
 
 
+def check_admissible(n: int, k: int) -> None:
+    """Raise ValueError unless k >= 2 and n >= 2k, the sizes the construction admits."""
+    _check_k(k)
+    if n < 2 * k:
+        raise ValueError(f"need n >= 2k, got n={n}, k={k}")
+
+
 def fib_prefix(k: int, m: int) -> list[int]:
     """F_k(1), ..., F_k(m) as exact integers (empty list for m <= 0)."""
     _check_k(k)
@@ -63,9 +70,7 @@ def theorem_bound(n: int, k: int) -> int:
     Requires n >= 2k; below that the first finishing row of the seed matrix
     would need columns left of column 1.
     """
-    _check_k(k)
-    if n < 2 * k:
-        raise ValueError(f"need n >= 2k, got n={n}, k={k}")
+    check_admissible(n, k)
     return sum(fib_prefix(k, n - k))
 
 

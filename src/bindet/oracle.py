@@ -4,10 +4,9 @@ The exhaustive oracle reports the exact set of determinants reached by
 every binary matrix of a given size; the family oracle does the same for
 the 2^n matrices sharing fixed rows 2..n.  Both expand the free top row
 through the first-row Laplace expansion, which is an exact determinant
-identity for any rows, so the enumeration kernels only ever do fixed-width
-integer work (magnitudes are pre-checked).  A report is the kernels'
-value bitmap itself: the count and the least missing natural d are read
-off it, and the value tuple is only built when it is asked for.
+identity for any rows.  A report is the kernels' value bitmap itself: the
+count and the least missing natural d are read off it, and the value
+tuple is only built when it is asked for.
 
 spectrum_family takes its cofactors from exact.cofactor_vector, which
 shares one elimination routine with det_exact.  The independent paths are
@@ -45,7 +44,6 @@ _EXHAUSTIVE_MAX_N = 6
 _EXHAUSTIVE_FORCE_MAX_N = 7
 _FAMILY_MAX_N = 30
 _FAMILY_MAX_CELLS = 1 << 28
-_INT64_GUARD = 1 << 62
 
 
 class SpectrumReport(Record):
@@ -143,9 +141,9 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
     """Determinants over all 2^n top rows above the given fixed rows 2..n.
 
     The cofactors of the fixed rows are computed exactly, then every subset
-    sum is marked in a bitmap.  Cofactor magnitudes and the reachable value
-    range must fit the 64-bit kernels; binary rows at n <= 30 always do.
-    Rows of the wrong shape raise ValueError from cofactor_vector.
+    sum is marked in a bitmap of sum(|C_j|) + 1 cells, at most
+    _FAMILY_MAX_CELLS = 2^28.  Rows of the wrong shape raise ValueError from
+    cofactor_vector.
     """
     t0 = time.perf_counter()
     n = len(rows) + 1
@@ -157,17 +155,14 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
         )
 
     cof = cofactor_vector(rows)
-    if sum(abs(c) for c in cof) >= _INT64_GUARD:
-        raise EnumerationCapError("cofactor magnitudes exceed the 64-bit kernels")
     lo = sum(c for c in cof if c < 0)
-    hi = sum(c for c in cof if c > 0)
-    size = hi - lo + 1
+    size = sum(map(abs, cof)) + 1
     if size > _FAMILY_MAX_CELLS:
         raise EnumerationCapError(
-            f"value range {size} exceeds the bitmap cap {_FAMILY_MAX_CELLS}"
+            f"value range exceeds the bitmap cap of {_FAMILY_MAX_CELLS} cells"
         )
     seen = np.zeros(size, dtype=np.uint8)
-    _kernels.family_bitmap(np.array(cof, dtype=np.int64), lo, seen)
+    _kernels.family_bitmap(cof, lo, seen)
     return SpectrumReport(n, "family", seen, lo, time.perf_counter() - t0)
 
 
@@ -182,9 +177,8 @@ def verify_laplace_identity(
     no scale factor: each trial checks one full determinant elimination
     against the cofactor path, and a wrong sign or scale in either fails.
     Linearly dependent rows raise DependentRowsError, a distinct outcome
-    from a failed identity.
+    from a failed identity.  Entries follow exact's operator.index rule.
     """
-    rows = [tuple(int(x) for x in r) for r in rows]
     n = len(rows) + 1
     v = cofactor_vector(rows)
     if not any(v):
@@ -245,18 +239,16 @@ def verify_construction(
     swept = 0
 
     seed_rows = seed_matrix(n, k).rows
-    trans = np.array(binarizing_transform(n, k).rows, dtype=np.int64)
-    base = np.array(seed_rows, dtype=np.int64)
-    product = trans @ base
+    # transform @ seed in Python ints: each row sums the seed rows that its
+    # transform row selects, scaled by the transform's entries.
+    rows = tuple(tuple(map(sum, zip((0,) * n, *(s if t == 1 else [t * x for x in s]
+                                                for t, s in zip(trow, seed_rows) if t))))
+                 for trow in binarizing_transform(n, k).rows)
+    bad = next(((i, j, x) for i, row in enumerate(rows)
+                for j, x in enumerate(row) if x != 0 and x != 1), None)
+    detail = "" if bad is None else f"entry ({bad[0] + 1}, {bad[1] + 1}) = {bad[2]}"
+    checks.append(CheckResult("binary_entries", bad is None, detail))
 
-    ok = bool(((product == 0) | (product == 1)).all())
-    detail = ""
-    if not ok:
-        i, j = (int(x) for x in np.argwhere((product != 0) & (product != 1))[0])
-        detail = f"entry ({i + 1}, {j + 1}) = {int(product[i, j])}"
-    checks.append(CheckResult("binary_entries", ok, detail))
-
-    rows = tuple(map(tuple, product.tolist()))
     try:
         ok = binary_rows(n, k) == rows
         detail = "" if ok else "row-sum formula disagrees with the matrix product"

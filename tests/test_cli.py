@@ -303,6 +303,16 @@ class TestSpectrum:
         assert code == 0
         assert "mode family" in out and "values 0 1" in out
 
+    def test_family_past_the_digit_limit_hits_the_cell_cap(self, capsys, tmp_path):
+        # Cofactors of 4,000-digit entries run to 8,000 digits: the refusal
+        # names the cap and formats none of them.
+        big = "9" * 4000
+        path = tmp_path / "rows.txt"
+        path.write_text(f"2\n{big} 1 0\n0 {big} 1\n")
+        code, out, err = run(capsys, "spectrum", "--rows", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: value range exceeds the bitmap cap of 268435456 cells\n"
+
     def test_malformed_rows_file(self, capsys, tmp_path):
         path = tmp_path / "rows.txt"
         path.write_text("2\n0 1 0\n")

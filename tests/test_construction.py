@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bindet import (
     ConstructionCertificate,
+    ConstructionParams,
     IntMatrix,
     InternalInvariantError,
     TargetOutOfRangeError,
@@ -26,6 +27,7 @@ from bindet import (
     verify_certificate,
 )
 from bindet import construction
+from bindet.fibk import check_admissible
 
 CERT_FIELDS = ("params", "target", "subset", "sign_swap_applied", "matrix", "certified_det")
 
@@ -106,7 +108,7 @@ class TestBinaryRows:
             # r_2 = s_2 + s_5 + s_8, so a 2 in s_2 survives into r_2.
             rows = [list(r) for r in real_seed(n, k).rows]
             rows[1][0] = 2
-            return IntMatrix.from_rows(rows)
+            return IntMatrix(rows)
 
         monkeypatch.setattr(construction, "seed_matrix", bad_seed)
         with pytest.raises(InternalInvariantError, match=r"out of \{0,1\} at \(1, 0\)"):
@@ -182,6 +184,12 @@ class TestGreedySubset:
         with pytest.raises(ValueError, match="outside"):
             greedy_subset((1, 1, 2), -1)
 
+    @pytest.mark.parametrize("weights", [(1, 1.7, 2), (1, 1, "2"), (1.0, 1, 2), ("1", 1, 2)])
+    def test_rejects_non_integer_weights(self, weights):
+        # Weights go through operator.index, as in exact: no truncation, no parsing.
+        with pytest.raises(TypeError):
+            greedy_subset(weights, 3)
+
 
 @st.composite
 def complete_sequence(draw):
@@ -231,9 +239,22 @@ class TestConstructMatrix:
         with pytest.raises(TargetOutOfRangeError):
             construct_matrix(10, -53, 3)
 
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            construct_matrix(3, 1)
+    @pytest.mark.parametrize("n, k, message", [
+        (3, None, "need n >= 4 for an admissible k, got 3"),
+        (-1, None, "need n >= 4 for an admissible k, got -1"),
+        (3, 2, "need n >= 2k, got n=3, k=2"),
+        (9, 5, "need n >= 2k, got n=9, k=5"),
+        (3, 1, "step count k must be at least 2, got 1"),
+    ])
+    def test_inadmissible_sizes_are_refused_with_one_message(self, n, k, message):
+        with pytest.raises(ValueError) as err:
+            construct_matrix(n, 1, k)
+        assert str(err.value) == message
+        if k is not None:
+            for check in (ConstructionParams, theorem_bound, check_admissible):
+                with pytest.raises(ValueError) as err:
+                    check(n, k)
+                assert str(err.value) == message
 
     def test_certificate_invariants(self):
         cert = construct_matrix(11, -30, 3)
@@ -324,7 +345,7 @@ def test_constructed_matrix_needs_no_revalidation(n):
         for target in sorted(targets):
             cert = construct_matrix(n, target, k)
             rows = cert.matrix.rows
-            assert cert.matrix == IntMatrix.from_rows(rows)
+            assert cert.matrix == IntMatrix(rows)
             assert type(rows) is tuple and len(rows) == n
             for row in rows:
                 assert type(row) is tuple and len(row) == n
@@ -416,7 +437,7 @@ class TestCertificateSerialization:
             target=cert.target,
             subset=cert.subset,
             sign_swap_applied=cert.sign_swap_applied,
-            matrix=IntMatrix.from_rows(rows),
+            matrix=IntMatrix(rows),
             certified_det=cert.certified_det,
         )
         assert verify_certificate(mutated)
@@ -455,7 +476,7 @@ class TestCertificateSerialization:
         rows = list(cert.matrix.rows)
         for i, j in swaps:
             rows[i], rows[j] = rows[j], rows[i]
-        permuted = rebuilt(cert, matrix=IntMatrix.from_rows(rows))
+        permuted = rebuilt(cert, matrix=IntMatrix(rows))
         assert det_exact(permuted.matrix) == a
         assert verify_certificate(permuted) == [
             f"rows 2..n are not the construction rows for n={n}, k=3"

@@ -1,7 +1,8 @@
 """The declared runtime dependencies are exactly the third-party imports of src/bindet.
 
 Also: no module of src/bindet imports dataclasses, whose import (with
-inspect) cost more than the rest of `import bindet.cli`.
+inspect) cost more than the rest of `import bindet.cli`, and only the
+oracle and its kernels import numpy.
 """
 
 import ast
@@ -48,3 +49,10 @@ def test_no_module_imports_dataclasses():
     found = imports_by_module()
     assert "exact.py" in found and "cli.py" in found
     assert [name for name, names in found.items() if "dataclasses" in names] == []
+
+
+def test_only_the_oracle_and_its_kernels_import_numpy():
+    # construct, verify and bound run without numpy; this pins that boundary.
+    found = imports_by_module()
+    assert sorted(name for name, names in found.items() if "numpy" in names) == [
+        "_kernels.py", "oracle.py"]

@@ -35,25 +35,25 @@ def det_permsum(rows):
 
 class TestIntMatrix:
     def test_identity(self):
-        m = IntMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+        m = IntMatrix([[int(i == j) for j in range(4)] for i in range(4)])
         assert m.n == 4
         assert m.is_binary()
         assert det_exact(m) == 1
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError, match="not square"):
-            IntMatrix.from_rows([(1, 0), (1,)])
+            IntMatrix([(1, 0), (1,)])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             IntMatrix(())
 
     def test_flags_are_checked_not_trusted(self):
-        m = IntMatrix.from_rows([(1, 0), (-1, 2)])
+        m = IntMatrix([(1, 0), (-1, 2)])
         assert not m.is_binary()
 
     def test_text_round_trip(self):
-        m = IntMatrix.from_rows([(1, 0, 1), (0, 1, 1), (1, 1, 0)])
+        m = IntMatrix([(1, 0, 1), (0, 1, 1), (1, 1, 0)])
         assert IntMatrix.from_text(m.to_text()) == m
 
     def test_text_rejects_bad_size(self):
@@ -73,7 +73,7 @@ class TestEntryTypes:
     @pytest.mark.parametrize("bad", NON_INTEGERS)
     def test_matrix_rejects_non_integer_entries(self, bad):
         with pytest.raises(TypeError):
-            IntMatrix.from_rows([(bad, 0), (0, 1)])
+            IntMatrix([(bad, 0), (0, 1)])
         with pytest.raises(TypeError):
             IntMatrix(((1, 0), (0, bad)))
 
@@ -95,12 +95,12 @@ class TestEntryTypes:
         with pytest.raises(TypeError):
             det_exact([[1.5, 0], [0, 2.9]])
         with pytest.raises(TypeError):
-            IntMatrix.from_rows([(1.5, 0), (0, 2.9)])
+            IntMatrix([(1.5, 0), (0, 2.9)])
 
     def test_bools_and_numpy_integers_become_ints(self):
         import numpy as np
 
-        m = IntMatrix.from_rows([(True, np.int64(2)), (np.uint8(3), False)])
+        m = IntMatrix([(True, np.int64(2)), (np.uint8(3), False)])
         assert m.rows == ((1, 2), (3, 0))
         assert all(type(x) is int for row in m.rows for x in row)
         assert m.to_text() == "2\n1 2\n3 0\n"
@@ -342,7 +342,7 @@ def matrix_with_repeated_rows(draw, max_n=6):
 @settings(max_examples=150, deadline=None)
 @given(matrix_with_repeated_rows())
 def test_to_text_formats_every_row(rows):
-    m = IntMatrix.from_rows(rows)
+    m = IntMatrix(rows)
     expected = "\n".join([str(len(rows)), *(" ".join(str(x) for x in row) for row in rows)]) + "\n"
     assert m.to_text() == expected
     assert IntMatrix.from_text(expected) == m

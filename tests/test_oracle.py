@@ -226,6 +226,22 @@ class TestSpectrumFamily:
         with pytest.raises(ValueError):
             spectrum_family([(1, 0), (0, 1)])
 
+    def test_cell_cap_refuses_a_small_entry_family_just_past_it(self):
+        # Cofactors (2^28, 0, 0) need 2^28 + 1 cells, one more than the cap.
+        rows = [(0, 1 << 14, 0), (0, 0, 1 << 14)]
+        assert cofactor_vector(rows) == (1 << 28, 0, 0)
+        with pytest.raises(EnumerationCapError) as err:
+            spectrum_family(rows)
+        assert str(err.value) == "value range exceeds the bitmap cap of 268435456 cells"
+
+    def test_cell_cap_admits_a_family_that_fills_it(self, monkeypatch):
+        # Sum |C| + 1 cells: (0, 4, 0), (0, 0, 2) has cofactors (8, 0, 0), 9 cells.
+        monkeypatch.setattr(oracle, "_FAMILY_MAX_CELLS", 9)
+        assert spectrum_family([(0, 4, 0), (0, 0, 2)]).values == (0, 8)
+        assert spectrum_family([(0, -2, 0), (0, 0, 4)]).values == (-8, 0)
+        with pytest.raises(EnumerationCapError, match="cap of 9 cells"):
+            spectrum_family([(1, 4, 0), (0, 0, 2)])  # cofactors (8, -2, 0)
+
 
 class TestVerifyLaplaceIdentity:
     def test_identity_rows(self):
@@ -257,6 +273,13 @@ class TestVerifyLaplaceIdentity:
     def test_dependent_rows_is_a_distinct_outcome(self):
         with pytest.raises(DependentRowsError):
             verify_laplace_identity([(1, 1, 0), (1, 1, 0)], trials=5)
+
+    @pytest.mark.parametrize("bad", [0.9, 1.0, "0", "1"])
+    def test_rejects_non_integer_entries(self, bad):
+        # Entries go through operator.index, as in exact: 0.9 is not truncated
+        # to 0 and "1" is not parsed, either of which would make this hold.
+        with pytest.raises(TypeError):
+            verify_laplace_identity([(bad, 1, 0), (0, 0, 1)], trials=5, rng=0)
 
 
 class TestVerifyConstruction:
@@ -303,7 +326,7 @@ class TestVerifyConstruction:
         def bad_seed(n, k):
             rows = [list(r) for r in real_seed(n, k).rows]
             rows[1][0] = 2
-            return IntMatrix.from_rows(rows)
+            return IntMatrix(rows)
 
         monkeypatch.setattr(construction, "seed_matrix", bad_seed)
         construction._normalized_rows.cache_clear()
@@ -315,6 +338,29 @@ class TestVerifyConstruction:
         assert not check.passed
         assert "out of {0,1}" in check.detail
         assert not report.all_passed
+
+    @pytest.mark.parametrize("changes, detail", [
+        ([(0, 0, 2)], "entry (1, 1) = 2"),  # a weight, not a selection
+        ([(6, 0, -1), (3, 1, 1)], "entry (4, 1) = 2"),  # the first row in order
+        ([(4, 6, 1)], "entry (5, 4) = 2"),  # the first column of its row
+    ])
+    def test_binary_entries_names_the_first_bad_product_entry(self, monkeypatch, changes,
+                                                              detail):
+        real = oracle.binarizing_transform
+
+        def bad_transform(n, k):
+            rows = [list(r) for r in real(n, k).rows]
+            for i, j, x in changes:
+                rows[i][j] = x
+            return IntMatrix(rows)
+
+        monkeypatch.setattr(oracle, "binarizing_transform", bad_transform)
+        report = verify_construction(10, 3)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert failed["binary_entries"] == detail
+        assert failed["row_formula_agreement"] == (
+            "row-sum formula disagrees with the matrix product")
+        assert f"  FAIL binary_entries ({detail})\n" in report.to_text()
 
     def test_report_text(self):
         text = verify_construction(8, 2).to_text()
