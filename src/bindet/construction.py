@@ -17,26 +17,28 @@ v is orthogonal to every row of R.  Together these pin v to the first-row
 cofactor vector of R: the unit determinant makes R rank n-1, so its kernel
 is a line holding both v and the cofactors, and both have first entry 1.
 Hence det([t; R]) = v . t for every top row t, and each returned matrix is
-certified by that exact O(n) dot product (negated when the bottom two rows
-are swapped).  Neither check trusts the greedy scan or the Fibonacci
-recurrence.  The same per-(n, k) pass checks the subset weights and
-renders R as a head block plus its last two lines, which the sign swap
-exchanges.  Per target, then, only the top row is scanned, built,
-certified and formatted: the matrix shares the cached row tuples of R and
-carries its text, n and the top row's line joined to the cached block
-(through the private ``IntMatrix._of_checked_rows``).  The parameters and
-the certificate are immutable ``_record.Record`` instances.
+certified by that exact dot product, summed over the entries of v that its
+built 0/1 top row selects (negated when the bottom two rows are swapped).
+Neither check trusts the greedy scan or the Fibonacci recurrence.  The same
+per-(n, k) pass checks that R is n-1 rows of length n and the subset
+weights, and renders R as a head block plus its last two lines, which the
+sign swap exchanges.  A target pays for the greedy scan, the top row and
+one C-level pass over it: the matrix shares R's cached row tuples and text
+(through ``IntMatrix._of_checked_rows``, which checks nothing), and the
+subset line joins labels cached per n.  The parameters and the
+certificate are immutable ``_record.Record`` instances.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from operator import add, index
 from typing import Sequence
 
 from ._record import Record, _set
 from .errors import InternalInvariantError, TargetOutOfRangeError
-from .exact import IntMatrix, det_exact, dot, is_orthogonal_to_all
+from .exact import IntMatrix, det_exact, is_orthogonal_to_all
 from .fibk import best_k, check_admissible, fib_prefix
 
 _CERT_HEADER = "certificate"
@@ -196,17 +198,21 @@ class ConstructionCertificate(Record):
                  "certified_det")
 
     def to_text(self) -> str:
-        lines = [
+        try:
+            subset = "".join(map(_subset_labels(self.params.n).__getitem__, self.subset))
+        except KeyError:  # an index outside [0, n): a hand-built or tampered record
+            subset = "".join(f" {i + 1}" for i in self.subset)
+        head = "\n".join([
             _CERT_HEADER,
             f"n {self.params.n}",
             f"k {self.params.k}",
             f"target {self.target}",
-            "subset" + "".join(f" {i + 1}" for i in self.subset),
+            "subset" + subset,
             f"sign_swap {int(self.sign_swap_applied)}",
             f"det {self.certified_det}",
             "matrix",
-        ]
-        return "\n".join(lines) + "\n" + self.matrix.to_text() + "end\n"
+        ])
+        return f"{head}\n{self.matrix.to_text()}end\n"
 
     @classmethod
     def from_text(cls, text: str) -> "ConstructionCertificate":
@@ -255,6 +261,12 @@ class ConstructionCertificate(Record):
         return cls(ConstructionParams(n, k), target, subset, sign_swap, matrix, det)
 
 
+@lru_cache(maxsize=64)
+def _subset_labels(n: int) -> dict[int, str]:
+    """The fields " 1", ..., " n" of a subset line, keyed by 0-based index."""
+    return {i: f" {i + 1}" for i in range(n)}
+
+
 def _is_canonical_int(tok: str) -> bool:
     """True when tok is an integer written exactly as str(int) writes it."""
     try:
@@ -281,16 +293,21 @@ def _lower_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def _normalized_rows(n: int, k: int):
     """All of a construction at (n, k) but the top row: checked and rendered once.
 
-    Returns (lower, weights, v, bound, head, tails): lower from _lower_rows,
-    the orthogonal vector v, its subset weights v[:n-k] and their sum, and
-    head + tails[s] as the text of lower[s].  The determinant of the rows
-    under a unit top row is checked to be 1, confirming the closed form.  v
-    is checked to be orthogonal to the rows, which with the unit determinant
-    and v[0] = 1 makes v their first-row cofactor vector (module docstring).
-    The weights are checked once here, so per target only the scan runs.
+    Returns (params, lower, weights, v, bound, head, tails): the shared
+    ConstructionParams, lower from _lower_rows, the orthogonal vector v, its
+    subset weights v[:n-k] and their sum, and head + tails[s] as the text of
+    lower[s].  The rows are checked to be n-1 rows of length n, and their
+    determinant under a unit top row to be 1, confirming the closed form.
+    v is checked to be orthogonal to the rows, which with the unit
+    determinant and v[0] = 1 makes v their first-row cofactor vector
+    (module docstring).  The weights are checked once here, so per target
+    only the scan runs.
     """
+    params = ConstructionParams(n, k)
     lower = _lower_rows(n, k)
     rows = lower[0]
+    if len(rows) != n - 1 or any(len(row) != n for row in rows):
+        raise InternalInvariantError(f"rows 2..n are not n-1 rows of length n for n={n}, k={k}")
     v = orthogonal_vector(n, k)
     weights = v[:n - k]
     if list(weights) != fib_prefix(k, n - k):
@@ -311,7 +328,7 @@ def _normalized_rows(n: int, k: int):
         raise InternalInvariantError(f"subset weights for n={n}, k={k}: {exc}") from None
     lines = [" ".join(map(str, row)) + "\n" for row in rows]
     tails = (lines[-2] + lines[-1], lines[-1] + lines[-2])
-    return lower, weights, v, bound, "".join(lines[:-2]), tails
+    return params, lower, weights, v, bound, "".join(lines[:-2]), tails
 
 
 def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionCertificate:
@@ -328,8 +345,7 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
     """
     if k is None:
         k = best_k(n)
-    params = ConstructionParams(n, k)
-    lower, weights, v, bound, head, tails = _normalized_rows(n, k)
+    params, lower, weights, v, bound, head, tails = _normalized_rows(n, k)
     if abs(target) > bound:
         raise TargetOutOfRangeError(n, k, target, bound)
 
@@ -341,13 +357,12 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
         top[i] = 1
         cells[i] = "1"
     top = tuple(top)
-    # Rows 2..n were certified as 0/1 int tuples by _normalized_rows and the
-    # top row is built from int literals, so only squareness is rechecked.
+    # Rows 2..n were certified as n-1 tuples of n ints by _normalized_rows.
     matrix = IntMatrix._of_checked_rows(
-        (top, *lower[sign_swap]), f"{n}\n{' '.join(cells)}\n{head}{tails[sign_swap]}"
+        (top,) + lower[sign_swap], f"{n}\n{' '.join(cells)}\n{head}{tails[sign_swap]}"
     )
 
-    certified = -dot(v, top) if sign_swap else dot(v, top)
+    certified = (-1 if sign_swap else 1) * sum(compress(v, top))  # v . top for 0/1 top
     if certified != target:
         raise InternalInvariantError(
             f"certification failed: built determinant {certified}, wanted {target}"

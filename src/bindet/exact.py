@@ -21,8 +21,8 @@ integers pass, while a float or a string raises TypeError instead of being
 truncated or parsed.  ``IntMatrix`` is a ``_record.Record``.  Its
 ``to_text`` formats every row directly, except for a matrix built by the
 private ``IntMatrix._of_checked_rows``, which carries its text (a slot, not
-a field): construction renders the fixed lower rows of each (n, k) once and
-formats only the top row per target.
+a field) and checks nothing: construction checks and renders the fixed
+lower rows of each (n, k) once and builds only the 0/1 top row per target.
 """
 
 from __future__ import annotations
@@ -41,19 +41,22 @@ class IntMatrix(Record):
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         norm = tuple(tuple(map(index, row)) for row in rows)
-        _check_square(norm)
+        n = len(norm)
+        if n < 1:
+            raise ValueError("matrix must have at least one row")
+        if set(map(len, norm)) != {n}:
+            length = next(len(row) for row in norm if len(row) != n)
+            raise ValueError(f"matrix is not square: {n} rows but a row of length {length}")
         _set(self, "rows", norm)
         _set(self, "_text", None)
 
     @classmethod
     def _of_checked_rows(cls, rows: tuple[tuple[int, ...], ...], text: str) -> "IntMatrix":
-        """A matrix on rows the caller has already certified as tuples of ints.
+        """A matrix on rows the caller has already certified as n tuples of n ints.
 
-        Skips the per-entry conversion and keeps only the squareness check.
-        text must be exactly what to_text would format from the rows; it is
-        returned by to_text as it is.
+        Checks nothing.  text must be exactly what to_text would format from
+        the rows; it is returned by to_text as it is.
         """
-        _check_square(rows)
         m = object.__new__(cls)
         _set(m, "rows", rows)
         _set(m, "_text", text)
@@ -80,15 +83,6 @@ class IntMatrix(Record):
     @classmethod
     def from_text(cls, text: str) -> "IntMatrix":
         return cls(parse_rows(text))
-
-
-def _check_square(rows: tuple[tuple[int, ...], ...]) -> None:
-    n = len(rows)
-    if n < 1:
-        raise ValueError("matrix must have at least one row")
-    if set(map(len, rows)) != {n}:
-        length = next(len(row) for row in rows if len(row) != n)
-        raise ValueError(f"matrix is not square: {n} rows but a row of length {length}")
 
 
 def parse_rows(text: str, extra: int = 0) -> tuple[tuple[int, ...], ...]:

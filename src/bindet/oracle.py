@@ -6,7 +6,7 @@ the 2^n matrices sharing fixed rows 2..n.  Both expand the free top row
 through the first-row Laplace expansion, which is an exact determinant
 identity for any rows.  A report is the kernels' value bitmap itself: the
 count and the least missing natural d are read off it, and the value
-tuple is only built when it is asked for.
+tuple is only built when it is asked for, never by to_text.
 
 spectrum_family takes its cofactors from exact.cofactor_vector, which
 shares one elimination routine with det_exact.  The independent paths are
@@ -44,6 +44,7 @@ _EXHAUSTIVE_MAX_N = 6
 _EXHAUSTIVE_FORCE_MAX_N = 7
 _FAMILY_MAX_N = 30
 _FAMILY_MAX_CELLS = 1 << 28
+_VALUES_WINDOW = 1 << 16
 
 
 class SpectrumReport(Record):
@@ -81,7 +82,12 @@ class SpectrumReport(Record):
             f"d {self.d}",
         ]
         if include_values:
-            lines.append("values " + " ".join(str(v) for v in self.values))
+            # A window of cells at a time, so the peak is the document, not
+            # every value as a Python int and a string.
+            seen, lo = self.seen, self.lo
+            windows = ((np.flatnonzero(seen[i:i + _VALUES_WINDOW]) + (lo + i)).tolist()
+                       for i in range(0, seen.size, _VALUES_WINDOW))
+            lines.append("values " + " ".join(" ".join(map(str, w)) for w in windows if w))
         lines.append("end")
         return "\n".join(lines) + "\n"
 

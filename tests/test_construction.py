@@ -27,6 +27,7 @@ from bindet import (
     verify_certificate,
 )
 from bindet import construction
+from bindet.cli import main as cli_main
 from bindet.fibk import check_admissible
 
 CERT_FIELDS = ("params", "target", "subset", "sign_swap_applied", "matrix", "certified_det")
@@ -314,6 +315,54 @@ class TestConstructMatrix:
         finally:
             construction._normalized_rows.cache_clear()
 
+    @pytest.mark.parametrize("change", ["add", "drop"])
+    def test_a_wrong_subset_is_never_certified(self, monkeypatch, change):
+        # The certificate is v . top over the built top row, so a scan that
+        # adds or drops one index cannot pass for the target.
+        real_scan = construction._greedy_scan
+
+        def wrong_scan(w, target):
+            subset = real_scan(w, target)
+            if change == "drop":
+                return subset[1:]
+            return tuple(sorted({*subset, min(set(range(len(w))) - set(subset))}))
+
+        monkeypatch.setattr(construction, "_greedy_scan", wrong_scan)
+        bound = theorem_bound(64, best_k(64))
+        for n, k, a in ((10, 3, 1), (10, 3, -20), (10, 3, 51), (64, None, bound // 3),
+                        (64, None, -bound // 5)):
+            with pytest.raises(InternalInvariantError, match="certification failed"):
+                construct_matrix(n, a, k)
+
+    @pytest.mark.parametrize("ragged", ["short row", "long row", "missing row"])
+    def test_ragged_construction_rows_are_an_internal_error(self, monkeypatch, capsys, ragged):
+        # Squareness of rows 2..n is checked once per (n, k), before any
+        # target is scanned; a failure is a broken invariant (exit 3).
+        real_rows = construction.binary_rows
+
+        def ragged_rows(n, k):
+            rows = real_rows(n, k)
+            last = {"short row": (rows[-1][:-1],), "long row": (rows[-1] + (0,),),
+                    "missing row": ()}[ragged]
+            return rows[:-1] + last
+
+        scanned = []
+        monkeypatch.setattr(construction, "binary_rows", ragged_rows)
+        monkeypatch.setattr(construction, "_greedy_scan",
+                            lambda w, target: scanned.append(target))
+        construction._normalized_rows.cache_clear()
+        try:
+            with pytest.raises(InternalInvariantError, match="not n-1 rows of length n"):
+                construct_matrix(10, 5, 3)
+            construction._normalized_rows.cache_clear()
+            assert cli_main(["construct", "--n", "12", "--det", "-7"]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "not n-1 rows of length n for n=12" in err
+            assert scanned == []
+        finally:
+            construction._normalized_rows.cache_clear()
+
 
 @st.composite
 def admissible_target(draw):
@@ -412,6 +461,39 @@ def test_rendered_text_matches_the_rows(case):
     cert = construct_matrix(n, a, k)
     assert cert.matrix.to_text() == IntMatrix(cert.matrix.rows).to_text()
     assert ConstructionCertificate.from_text(cert.to_text()) == cert
+
+
+def per_index_subset_line(subset):
+    """The subset line as each index's own f-string writes it."""
+    return "subset" + "".join(f" {i + 1}" for i in subset)
+
+
+class TestSubsetLine:
+    def test_labels_match_per_index_formatting_past_the_cache(self):
+        # 80 sizes overflow the 64 cached label tables; the first sizes are
+        # evicted and come back rebuilt.
+        construction._subset_labels.cache_clear()
+        sizes = [*range(4, 84), 4, 5]
+        for n in sizes:
+            bound = theorem_bound(n, best_k(n))
+            for a in (0, 1, bound, -bound):
+                cert = construct_matrix(n, a)
+                text = cert.to_text()
+                line = text.splitlines()[4]
+                assert line == per_index_subset_line(cert.subset)
+                assert (line == "subset") == (a == 0)
+                assert ConstructionCertificate.from_text(text) == cert
+        info = construction._subset_labels.cache_info()
+        assert info.misses == len(sizes) and info.currsize == 64
+
+    @pytest.mark.parametrize("subset", [(-1,), (0, 9, 10), (12, -3, 4), (100,)])
+    def test_indices_outside_the_table_are_written_as_given(self, subset):
+        # Only a hand-built or tampered record holds these; verify reports them.
+        cert = rebuilt(construct_matrix(10, 20, 3), subset=subset)
+        text = cert.to_text()
+        assert text.splitlines()[4] == per_index_subset_line(subset)
+        assert ConstructionCertificate.from_text(text) == cert
+        assert verify_certificate(cert)
 
 
 class TestCertificateSerialization:

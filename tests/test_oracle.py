@@ -139,6 +139,37 @@ class TestSpectrumExhaustive:
         assert r.values == (-2, -1, 0, 1, 2) and "values" in vars(r)
 
 
+EXHAUSTIVE_VALUES = {1: range(0, 2), 2: range(-1, 2), 3: range(-2, 3), 4: range(-3, 4)}
+
+
+class TestWindowedText:
+    """to_text formats the values a window of cells at a time, as one list."""
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_exhaustive(self, monkeypatch, window):
+        monkeypatch.setattr(oracle, "_VALUES_WINDOW", window)
+        for n, values in EXHAUSTIVE_VALUES.items():
+            r = spectrum_exhaustive(n)
+            text = r.to_text()
+            assert "values" not in vars(r)
+            assert f"\nvalues {' '.join(map(str, values))}\nend\n" in text
+            assert r.values == tuple(values)
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_random_families_with_negative_lo(self, monkeypatch, window):
+        monkeypatch.setattr(oracle, "_VALUES_WINDOW", window)
+        rng = random.Random(window)
+        reports = [_bitmap_report(cof) for cof in ([-3, 5], [0, -5, 0], [-9, 1, 20, -2])]
+        for n in (3, 5, 6, 7):
+            rows = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n - 1)]
+            reports.append(spectrum_family(rows))
+        assert sum(r.lo < 0 for r in reports) >= 5
+        for r in reports:
+            expect = [v for v in range(r.lo, r.lo + r.seen.size) if r.seen[v - r.lo]]
+            assert r.to_text().splitlines()[5] == "values " + " ".join(map(str, expect))
+            assert "values" not in vars(r)
+
+
 def _bitmap_report(cof):
     lo = sum(c for c in cof if c < 0)
     hi = sum(c for c in cof if c > 0)
