@@ -1,51 +1,46 @@
-"""Enumeration kernels in vectorized numpy.
+"""The exhaustive enumeration kernel, in vectorized numpy.
 
-Two kernels live here:
+``exhaustive_chunk`` enumerates rows 2..n of a binary matrix as
+doubly-lexical sets of n-1 distinct row codes, and returns every
+determinant that a 0/1 top row reaches above them as a Python-int bitset.
+Column j of a row is bit j of its code, and the most significant bit is
+the first column.  A set is doubly-lexical when its codes strictly
+decrease and its columns do not increase, each column read as a word
+over the rows, first row most significant.  Every (n-1) x n 0/1 matrix
+with distinct rows can be brought to such a set by permuting rows and
+columns: sorting the rows, then the columns, never lowers the row-major
+bit string, so alternating the two sorts stops at a doubly-lexical
+matrix (A. Lubiw, "Doubly lexical orderings of matrices", SIAM J.
+Comput. 16, 1987).  That loses no determinant: a repeated row gives 0,
+which the zero top row reaches anyway; a row permutation flips the
+sign; a column permutation permutes the cofactors and flips their sign,
+and the top row ranges over all of {0,1}^n.  So the bitset covers the
+full spectrum once the caller closes it under negation.
 
-* ``exhaustive_chunk``: enumerate rows 2..n of a binary matrix as
-  doubly-lexical sets of n-1 distinct row codes, and mark every
-  determinant that a 0/1 top row reaches above them in a shared bitmap.
-  Column j of a row is bit j of its code, and the most significant bit is
-  the first column.  A set is doubly-lexical when its codes strictly
-  decrease and its columns do not increase, each column read as a word
-  over the rows, first row most significant.  Every (n-1) x n 0/1 matrix
-  with distinct rows can be brought to such a set by permuting rows and
-  columns: sorting the rows, then the columns, never lowers the row-major
-  bit string, so alternating the two sorts stops at a doubly-lexical
-  matrix (A. Lubiw, "Doubly lexical orderings of matrices", SIAM J.
-  Comput. 16, 1987).  That loses no determinant: a repeated row gives 0,
-  which the zero top row reaches anyway; a row permutation flips the
-  sign; a column permutation permutes the cofactors and flips their sign,
-  and the top row ranges over all of {0,1}^n.  So the bitmap covers the
-  full spectrum once the caller closes it under negation.
-
-  The sets are the leaves of a prefix tree, built a level at a time and
-  numbered depth-first (2,051 at n = 5, 140,199 at n = 6).  A prefix of r
-  rows carries its r x r minors on every r-subset of columns.  A block of
-  parents gets its children from one table lookup, in depth-first order,
-  and their minors by one Laplace step along the new row: bits(code) .
-  W(parent), with W the parent's signed minors.  The leaves' minors are
-  the first-row cofactors C.  Each is a 0/1 determinant of order below n,
-  at most (n-1)! in magnitude, so int32 is exact for n <= 13.  A leaf
-  reaches the subset sums S(C) = S(|C|) - (sum of |C_j| over C_j < 0), as
-  negating C_j maps a subset T to T xor {j}.  So one Python-int shift-or
-  sweep per distinct key (multiset of |C|, negative sum) marks the cells
-  of all its leaves: 36 keys at n = 5, 160 at n = 6;
-
-* ``family_bitmap``: given the first-row cofactors of fixed rows 2..n,
-  mark every determinant reachable by a 0/1 top row.  It sweeps the
-  nonzero cofactors in order of increasing magnitude, and each sweep
-  shifts only the window of cells reached so far.  For the
-  construction's near-geometric cofactors the windows add up to a small
-  multiple of the bitmap, not n times it.
+The sets are the leaves of a prefix tree, built a level at a time and
+numbered depth-first (2,051 at n = 5, 140,199 at n = 6).  A prefix of r
+rows carries its r x r minors on every r-subset of columns.  A block of
+parents gets its children from one table lookup, in depth-first order,
+and their minors by one Laplace step along the new row: bits(code) .
+W(parent), with W the parent's signed minors.  The leaves' minors are
+the first-row cofactors C.  Each is a 0/1 determinant of order below n,
+at most (n-1)! in magnitude, so int32 is exact for n <= 13.  A leaf
+reaches the subset sums S(C) = S(|C|) - (sum of |C_j| over C_j < 0), as
+negating C_j maps a subset T to T xor {j}.  So one sweep of
+``exact.subset_sums`` per distinct key (multiset of |C|, negative sum)
+marks the cells of all its leaves: 36 keys at n = 5, 160 at n = 6.  The
+family spectrum in ``oracle`` runs the same sweep on its cofactors, with
+no numpy.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
+
+from .exact import subset_sums
 
 _PARENTS = 1 << 10  # parents expanded at once; bounds each level's arrays
 _NEG_BITS = 16  # a key's low field: the sum of |C_j| over C_j < 0
@@ -157,24 +152,28 @@ def _keys(cof: np.ndarray) -> np.ndarray:
     return keys[np.append(keys[1:] != keys[:-1], True)]
 
 
-def _reach(key: int, n: int) -> tuple[int, int]:
-    """(S(|C|) as a Python-int bitset, sum of |C_j| over C_j < 0) for one key."""
-    width, reach, magnitude = n.bit_length(), 1, 1
+def _magnitudes(key: int, n: int):
+    """The |C_j| that a key counts, in increasing order."""
+    width, magnitude = n.bit_length(), 1
     fields = key >> _NEG_BITS
     while fields:
-        for _ in range(fields & ((1 << width) - 1)):
-            reach |= reach << magnitude
+        yield from repeat(magnitude, fields & ((1 << width) - 1))
         fields >>= width
         magnitude += 1
-    return reach, key & ((1 << _NEG_BITS) - 1)
 
 
-def exhaustive_chunk(n, start, stop, seen):
-    """Mark the determinants of the doubly-lexical row sets numbered [start, stop).
+def _reach(key: int, n: int) -> tuple[int, int]:
+    """(S(|C|) as a Python-int bitset, sum of |C_j| over C_j < 0) for one key."""
+    return subset_sums(_magnitudes(key, n)), key & ((1 << _NEG_BITS) - 1)
 
-    seen[d + (len(seen) - 1) // 2] is set for every determinant d; one
+
+def exhaustive_chunk(n, start, stop, offset):
+    """The determinants of the doubly-lexical row sets numbered [start, stop).
+
+    Returns a Python-int bitset with bit d + offset set for every
+    determinant d; offset must be at least the largest |d|, such as n!.  One
     set stands for all row and column orders of its rows, which reach the
-    same values up to sign, so the caller closes the merged bitmap under
+    same values up to sign, so the caller closes the merged bitset under
     negation.
     """
     distinct = set()
@@ -184,24 +183,15 @@ def exhaustive_chunk(n, start, stop, seen):
     cells = 0
     for key in distinct:
         reach, negative = _reach(key, n)
-        cells |= reach << ((seen.size - 1) // 2 - negative)
+        cells |= reach << (offset - negative)
+    return cells
+
+
+# Kept only as a name for perfbench/spans.py, which times it and counts
+# seen.size; no bindet code calls it.  It goes with that counter.
+def family_bitmap(cof, lo, seen):
+    """OR the subset sums of cof into the uint8 array seen, at seen[s - lo]."""
+    shift = int(sum(c for c in cof if c < 0)) - lo
+    cells = subset_sums(sorted(abs(int(c)) for c in cof if c)) << shift
     packed = np.frombuffer(cells.to_bytes(seen.size // 8 + 1, "little"), dtype=np.uint8)
     seen |= np.unpackbits(packed, count=seen.size, bitorder="little")
-
-
-def family_bitmap(cof, lo, seen):
-    """Subset-sum reachability by shift-or sweeps: seen[s - lo] for every subset sum s.
-
-    The weights are swept in order of increasing magnitude, and each sweep
-    touches only the window [a, b] of cells reached so far, which starts at
-    the cell for 0.
-    """
-    a = b = -lo
-    seen[a] = 1
-    for c in sorted((int(c) for c in cof if c), key=abs):
-        # The copy keeps one sweep from cascading a weight into itself.
-        seen[a + c:b + c + 1] |= seen[a:b + 1].copy()
-        if c > 0:
-            b += c
-        else:
-            a += c

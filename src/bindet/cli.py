@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .construction import (
@@ -32,13 +33,6 @@ from .exact import IntMatrix, det_exact, parse_rows
 from .fibk import bound_table, fib_prefix
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _alpha_text(alpha) -> str:
     """The Fraction alpha in [1, 10) to 30 significant digits, trailing zeros stripped.
 
@@ -53,6 +47,8 @@ def _alpha_text(alpha) -> str:
 def cmd_construct(args) -> int:
     cert = construct_matrix(args.n, args.det, args.k)
     doc = cert.matrix.to_text() if args.emit == "matrix" else cert.to_text()
+    if args.out:
+        Path(args.out).write_text(doc)  # first, so that a failed write prints nothing
     if args.format == "pretty":
         print(
             f"constructed {cert.params.n}x{cert.params.n} binary matrix with "
@@ -60,12 +56,9 @@ def cmd_construct(args) -> int:
             f"subset size {len(cert.subset)}, sign swap {cert.sign_swap_applied})"
         )
         if args.out:
-            _emit(doc, args.out)
             print(f"wrote {args.out}")
-        else:
-            sys.stdout.write(doc)
-    else:
-        _emit(doc, args.out)
+    if not args.out:
+        sys.stdout.write(doc)
     return 0
 
 
@@ -152,7 +145,7 @@ def cmd_fib(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .oracle import spectrum_exhaustive, spectrum_family  # loads numpy
+    from .oracle import spectrum_exhaustive, spectrum_family
 
     if args.n is not None:
         report = spectrum_exhaustive(args.n, workers=args.workers, force=args.force)
@@ -163,47 +156,55 @@ def cmd_spectrum(args) -> int:
             print(f"malformed rows file: {exc}", file=sys.stderr)
             return 1
         report = spectrum_family(rows)
-    doc = report.to_text(include_values=not args.no_values)
-    if args.format == "pretty":
+    values = not args.no_values
+    # The document is opened before anything is printed, so that an
+    # unwritable --out prints nothing.
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as doc:
+        if args.format == "structured":
+            report.write(doc, values)
+            return 0
         print(
             f"{report.mode} spectrum at n={report.n}: {report.count} values, "
             f"smallest missing natural {report.d} ({report.elapsed:.2f}s)"
         )
-        if not args.no_values:
-            # The value list is formatted once, in the document.
-            start = doc.index("\nvalues ") + len("\nvalues ")
-            print("values:", doc[start:doc.index("\n", start)])
-        if not args.out:
-            return 0
-    _emit(doc, args.out)
-    if args.format == "pretty":
+        if values:
+            sys.stdout.write("values: ")
+        if args.out:
+            # The value list is formatted once, for the document and the line.
+            report.write(doc, values, echo=(sys.stdout,))
+        elif values:
+            report.write_values(sys.stdout)
+        if values:
+            sys.stdout.write("\n")
+    if args.out:
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_selftest(args) -> int:
-    from .oracle import verify_construction  # loads numpy
+    grid = [(n, k) for k in range(2, args.k_max + 1) for n in range(2 * k, args.n_max + 1)]
+    if not grid:
+        raise ValueError(f"selftest grid is empty: no (n, k) with 2 <= k <= {args.k_max} "
+                         f"and 2k <= n <= {args.n_max}")
+    from .oracle import verify_construction
 
     failures = 0
-    cases = 0
-    for k in range(2, args.k_max + 1):
-        for n in range(2 * k, args.n_max + 1):
-            report = verify_construction(
-                n, k, sweep_limit=args.sweep_limit, sample=args.sample, seed=args.seed
-            )
-            cases += 1
-            if report.all_passed:
-                if args.format == "pretty":
-                    print(
-                        f"pass n={n} k={k} ({report.targets_swept} targets, "
-                        f"{report.elapsed:.2f}s)"
-                    )
-                else:
-                    print(f"pass n={n} k={k} targets {report.targets_swept}")
+    for n, k in grid:
+        report = verify_construction(
+            n, k, sweep_limit=args.sweep_limit, sample=args.sample, seed=args.seed
+        )
+        if report.all_passed:
+            if args.format == "pretty":
+                print(
+                    f"pass n={n} k={k} ({report.targets_swept} targets, "
+                    f"{report.elapsed:.2f}s)"
+                )
             else:
-                failures += 1
-                sys.stdout.write(report.to_text())
-    print(f"selftest: {cases - failures}/{cases} cases passed")
+                print(f"pass n={n} k={k} targets {report.targets_swept}")
+        else:
+            failures += 1
+            sys.stdout.write(report.to_text())
+    print(f"selftest: {len(grid) - failures}/{len(grid)} cases passed")
     return 3 if failures else 0
 
 

@@ -23,6 +23,8 @@ truncated or parsed.  ``IntMatrix`` is a ``_record.Record``.  Its
 private ``IntMatrix._of_checked_rows``, which carries its text (a slot, not
 a field) and checks nothing: construction checks and renders the fixed
 lower rows of each (n, k) once and builds only the 0/1 top row per target.
+``subset_sums`` is the Python-int shift-or sweep that both spectrum
+oracles run on their cofactor magnitudes.
 """
 
 from __future__ import annotations
@@ -260,3 +262,14 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def is_orthogonal_to_all(v: Sequence[int], rows: Iterable[Sequence[int]]) -> bool:
     """True iff v has exactly zero dot product with every given row."""
     return all(dot(v, row) == 0 for row in rows)
+
+
+def subset_sums(weights: Iterable[int]) -> int:
+    """Bitset of the subset sums of nonnegative weights: bit s is set iff some subset sums to s.
+
+    One shift-or per weight; given in increasing order, the bitset stays short longest.
+    """
+    reach = 1
+    for w in weights:
+        reach |= reach << w
+    return reach

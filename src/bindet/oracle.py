@@ -4,30 +4,31 @@ The exhaustive oracle reports the exact set of determinants reached by
 every binary matrix of a given size; the family oracle does the same for
 the 2^n matrices sharing fixed rows 2..n.  Both expand the free top row
 through the first-row Laplace expansion, which is an exact determinant
-identity for any rows.  A report is the kernels' value bitmap itself: the
-count and the least missing natural d are read off it, and the value
-tuple is only built when it is asked for, never by to_text.
+identity for any rows.  A report holds the reached values as a Python-int
+bitset: the count and the least missing natural d are read off it, the
+document is written from it a window at a time, and the value tuple is
+only built when it is asked for.
 
 spectrum_family takes its cofactors from exact.cofactor_vector, which
-shares one elimination routine with det_exact.  The independent paths are
-the exhaustive oracle's cofactors from a prefix tree of shared minors
-(_kernels), det_permsum in the tests and perfbench/refimpl.py, which does
-not import bindet.  The reports are immutable ``_record.Record`` instances.
+shares one elimination routine with det_exact, and sweeps their subset
+sums with exact.subset_sums, so it needs no numpy.  The independent paths
+are the exhaustive oracle's cofactors from a prefix tree of shared minors
+(_kernels, imported by spectrum_exhaustive alone, as it loads numpy),
+det_permsum in the tests and perfbench/refimpl.py, which does not import
+bindet.  The reports are immutable ``_record.Record`` instances.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain, compress
+from typing import Iterable, Sequence, TextIO
 
-import numpy as np
-
-from . import _kernels
 from ._record import Record
 from .construction import (
     binarizing_transform,
@@ -37,7 +38,7 @@ from .construction import (
     seed_matrix,
 )
 from .errors import DependentRowsError, EnumerationCapError, InternalInvariantError
-from .exact import cofactor_vector, det_exact, dot, is_orthogonal_to_all
+from .exact import cofactor_vector, det_exact, dot, is_orthogonal_to_all, subset_sums
 from .fibk import theorem_bound
 
 _EXHAUSTIVE_MAX_N = 6
@@ -45,51 +46,71 @@ _EXHAUSTIVE_FORCE_MAX_N = 7
 _FAMILY_MAX_N = 30
 _FAMILY_MAX_CELLS = 1 << 28
 _VALUES_WINDOW = 1 << 16
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to selectors for compress
 
 
 class SpectrumReport(Record):
-    """Determinants reached by one enumeration, held as their bitmap.
+    """Determinants reached by one enumeration, held as a Python-int bitset.
 
-    seen[v - lo] is set exactly for the reached values v, and lo <= 0.  count
-    and d are read off the bitmap; the values tuple is built on first access.
-    A report holds an array, so it compares by identity.
+    Bit v - lo of seen is set exactly for the reached values v, and lo <= 0.
+    count and d are read off the bitset; the values tuple is built on first
+    access, and write streams the document without it.
     """
 
     __slots__ = ("n", "mode", "seen", "lo", "elapsed", "__dict__")  # for values
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+
+    def _windows(self):
+        """The reached values, one iterator per window of _VALUES_WINDOW cells with any set."""
+        seen, lo, width = self.seen, self.lo, _VALUES_WINDOW
+        size, mask = seen.bit_length(), (1 << width) - 1
+        data = seen.to_bytes((size + 7) // 8, "little")
+        for i in range(0, size, width):
+            cells = int.from_bytes(data[i >> 3:(i + width + 7) >> 3], "little") >> (i & 7) & mask
+            if cells:
+                # Digit j of the reversed binary text is cell i + j.
+                selectors = format(cells, "b")[::-1].encode().translate(_BITS)
+                yield compress(range(lo + i, lo + i + len(selectors)), selectors)
 
     @cached_property
     def values(self) -> tuple[int, ...]:
-        return tuple((np.flatnonzero(self.seen) + self.lo).tolist())
+        return tuple(chain.from_iterable(self._windows()))
 
     @property
     def count(self) -> int:
-        return int(np.count_nonzero(self.seen))
+        return self.seen.bit_count()
 
     @property
     def d(self) -> int:
-        # The least missing natural: the first zero at or after the cell for 1.
-        missing = np.flatnonzero(self.seen[1 - self.lo:] == 0)
-        return 1 + int(missing[0]) if missing.size else self.lo + self.seen.size
+        # The least missing natural: 1 + the run of set cells from the cell for 1.
+        run = self.seen >> (1 - self.lo)
+        return (run ^ (run + 1)).bit_length()
+
+    def write_values(self, *sinks: TextIO) -> None:
+        """Write the values, space-separated, onto every sink, one window at a time.
+
+        So the peak is one window's text, not every value as an int and a string.
+        """
+        sep = ""
+        for window in self._windows():
+            text = sep + " ".join(map(str, window))
+            for sink in sinks:
+                sink.write(text)
+            sep = " "
+
+    def write(self, out: TextIO, include_values: bool = True,
+              echo: tuple[TextIO, ...] = ()) -> None:
+        """Write the document onto out; the sinks in echo get its value list too."""
+        out.write(f"spectrum\nn {self.n}\nmode {self.mode}\ncount {self.count}\nd {self.d}\n")
+        if include_values:
+            out.write("values ")
+            self.write_values(out, *echo)
+            out.write("\n")
+        out.write("end\n")
 
     def to_text(self, include_values: bool = True) -> str:
-        lines = [
-            "spectrum",
-            f"n {self.n}",
-            f"mode {self.mode}",
-            f"count {self.count}",
-            f"d {self.d}",
-        ]
-        if include_values:
-            # A window of cells at a time, so the peak is the document, not
-            # every value as a Python int and a string.
-            seen, lo = self.seen, self.lo
-            windows = ((np.flatnonzero(seen[i:i + _VALUES_WINDOW]) + (lo + i)).tolist()
-                       for i in range(0, seen.size, _VALUES_WINDOW))
-            lines.append("values " + " ".join(" ".join(map(str, w)) for w in windows if w))
-        lines.append("end")
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        self.write(buf, include_values)
+        return buf.getvalue()
 
 
 def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> SpectrumReport:
@@ -101,9 +122,9 @@ def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> Spectr
     the argument): 2,051 sets at n = 5 and 140,199 at n = 6 instead of
     2^(n(n-1)) row assignments.  The sets, numbered in depth-first order,
     are split into min(workers, CPU count, sets) contiguous blocks, one
-    thread and one bitmap each, and merged by bitmap union, so the result
-    is identical for every worker count.  n above _EXHAUSTIVE_MAX_N = 6,
-    the largest size the tests run, is refused unless force is given, and
+    thread and one bitset each, and merged by union, so the result is
+    identical for every worker count.  n above _EXHAUSTIVE_MAX_N = 6, the
+    largest size the tests run, is refused unless force is given, and
     above 7 (2.8e7 sets) before any work, as n = 8 means 1.6e10 sets.
     """
     t0 = time.perf_counter()
@@ -117,38 +138,42 @@ def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> Spectr
             f"n={_EXHAUSTIVE_MAX_N}, pass force to override up to n={_EXHAUSTIVE_FORCE_MAX_N}"
         )
     if n == 1:
-        return SpectrumReport(1, "exhaustive", np.ones(2, dtype=np.uint8), 0,
-                              time.perf_counter() - t0)
+        return SpectrumReport(1, "exhaustive", 0b11, 0, time.perf_counter() - t0)
 
-    # |det| <= n! bounds every reachable value, so a flat bitmap suffices.
+    from . import _kernels  # loads numpy
+
+    # |det| <= n! bounds every reachable value, so 2 n! + 1 cells suffice.
     offset = math.factorial(n)
     total = _kernels.family_count(n)
     nblocks = min(workers, os.cpu_count() or 1, total)
     blocks = [(i * total // nblocks, (i + 1) * total // nblocks) for i in range(nblocks)]
 
     def run(block):
-        seen = np.zeros(2 * offset + 1, dtype=np.uint8)
-        _kernels.exhaustive_chunk(n, block[0], block[1], seen)
-        return seen
+        return _kernels.exhaustive_chunk(n, block[0], block[1], offset)
 
     if nblocks == 1:
         results = [run(block) for block in blocks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
+
         with ThreadPoolExecutor(max_workers=nblocks) as pool:
             results = list(pool.map(run, blocks))
-    merged = results[0]
-    for seen in results[1:]:
-        merged |= seen
-    merged |= merged[::-1]
-    return SpectrumReport(n, "exhaustive", merged, -offset, time.perf_counter() - t0)
+    seen = 0
+    for cells in results:
+        seen |= cells
+    # Close under negation: the cell of -v mirrors that of v among the 2 n! + 1.
+    seen |= int(format(seen, f"0{2 * offset + 1}b")[::-1], 2)
+    return SpectrumReport(n, "exhaustive", seen, -offset, time.perf_counter() - t0)
 
 
 def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
     """Determinants over all 2^n top rows above the given fixed rows 2..n.
 
-    The cofactors of the fixed rows are computed exactly, then every subset
-    sum is marked in a bitmap of sum(|C_j|) + 1 cells, at most
-    _FAMILY_MAX_CELLS = 2^28.  Rows of the wrong shape raise ValueError from
+    The cofactors C of the fixed rows are computed exactly.  The reached
+    values are the subset sums of C, which are those of |C| shifted down by
+    lo, the sum of the negative C_j: one shift-or sweep per nonzero |C_j|,
+    in increasing order, over at most sum(|C_j|) + 1 <= _FAMILY_MAX_CELLS =
+    2^28 cells.  Rows of the wrong shape raise ValueError from
     cofactor_vector.
     """
     t0 = time.perf_counter()
@@ -167,8 +192,7 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
         raise EnumerationCapError(
             f"value range exceeds the bitmap cap of {_FAMILY_MAX_CELLS} cells"
         )
-    seen = np.zeros(size, dtype=np.uint8)
-    _kernels.family_bitmap(cof, lo, seen)
+    seen = subset_sums(sorted(abs(c) for c in cof if c))
     return SpectrumReport(n, "family", seen, lo, time.perf_counter() - t0)
 
 

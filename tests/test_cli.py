@@ -419,9 +419,12 @@ def test_cli_runs_without_mpmath(tmp_path):
 def test_construct_verify_and_bound_load_no_numpy(tmp_path):
     # construct and verify also import none of dataclasses, inspect and
     # fractions, which cost more than the rest of `import bindet.cli`; bound
-    # may load fractions, for the growth root.  Modules the interpreter had
-    # loaded before bindet do not count.
-    cert, matrix = tmp_path / "cert.txt", tmp_path / "matrix.txt"
+    # may load fractions, for the growth root.  Family spectra and selftest
+    # load the oracle but neither numpy, the exhaustive kernel nor the
+    # thread pool.  Modules the interpreter had loaded before bindet do not
+    # count.
+    cert, matrix, rows = tmp_path / "cert.txt", tmp_path / "matrix.txt", tmp_path / "rows.txt"
+    rows.write_text("3\n1 0 1 1\n0 1 1 0\n1 1 0 1\n")
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -434,16 +437,58 @@ def test_construct_verify_and_bound_load_no_numpy(tmp_path):
         "print('loaded', sorted({'dataclasses', 'inspect', 'fractions'} & (set(sys.modules) - before)))\n"
         "assert main(['bound', '--n', '64']) == 0\n"
         "print(sorted({'numpy', 'mpmath', 'bindet.oracle', 'bindet._kernels'} & set(sys.modules)))\n"
+        f"assert main(['spectrum', '--rows', {str(rows)!r}]) == 0\n"
+        "assert main(['selftest', '--n-max', '8', '--k-max', '3', '--sweep-limit', '64',"
+        " '--sample', '20']) == 0\n"
+        "print(sorted({'numpy', 'mpmath', 'bindet.oracle', 'bindet._kernels',"
+        " 'concurrent.futures'} & set(sys.modules)))\n"
     )
     proc = run_process("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert "det = -12345" in proc.stdout and "det=-12345" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-1] == "['bindet.oracle']"
+    assert "[]" in proc.stdout.splitlines()
     assert "loaded []" in proc.stdout.splitlines()
-    # spectrum loads the oracle, and numpy with it, on demand.
+    assert "family spectrum at n=4" in proc.stdout and "selftest: 8/8 cases passed" in proc.stdout
+    # spectrum --n loads the kernels, and numpy with them, on demand.
     proc = run_process("-m", "bindet.cli", "spectrum", "--n", "3", "--format", "structured")
     assert proc.returncode == 0, proc.stderr
     assert "count 5\n" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--n", "8", "--det", "3"),
+    ("construct", "--n", "8", "--det", "3", "--emit", "matrix"),
+    ("spectrum", "--n", "3"),
+    ("spectrum", "--n", "3", "--no-values"),
+    ("spectrum", "--rows", "{rows}"),
+])
+def test_unwritable_out_prints_nothing(capsys, tmp_path, argv):
+    # The document is written, or its file opened, before any summary line.
+    rows = tmp_path / "rows.txt"
+    rows.write_text("2\n0 1 0\n0 0 1\n")
+    target = tmp_path / "no-such-dir" / "doc.txt"
+    code, out, err = run(capsys, *(a.format(rows=rows) for a in argv), "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_a_refused_spectrum_leaves_out_untouched(capsys, tmp_path):
+    target = tmp_path / "doc.txt"
+    code, out, err = run(capsys, "spectrum", "--n", "7", "--out", str(target))
+    assert code == 1 and out == "" and "force" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, bounds", [
+    (("--n-max", "3"), "2 <= k <= 4 and 2k <= n <= 3"),
+    (("--k-max", "1"), "2 <= k <= 1 and 2k <= n <= 20"),
+    (("--n-max", "0", "--k-max", "0"), "2 <= k <= 0 and 2k <= n <= 0"),
+])
+def test_selftest_refuses_an_empty_grid(capsys, argv, bounds):
+    code, out, err = run(capsys, "selftest", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: selftest grid is empty: no (n, k) with {bounds}\n"
 
 
 def test_usage_error_exits_2(capsys):

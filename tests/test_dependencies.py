@@ -2,7 +2,7 @@
 
 Also: no module of src/bindet imports dataclasses, whose import (with
 inspect) cost more than the rest of `import bindet.cli`, and only the
-oracle and its kernels import numpy.
+exhaustive kernel imports numpy.
 """
 
 import ast
@@ -51,8 +51,7 @@ def test_no_module_imports_dataclasses():
     assert [name for name, names in found.items() if "dataclasses" in names] == []
 
 
-def test_only_the_oracle_and_its_kernels_import_numpy():
-    # construct, verify and bound run without numpy; this pins that boundary.
+def test_only_the_exhaustive_kernel_imports_numpy():
+    # Every command but `spectrum --n` runs without numpy; this pins that boundary.
     found = imports_by_module()
-    assert sorted(name for name, names in found.items() if "numpy" in names) == [
-        "_kernels.py", "oracle.py"]
+    assert sorted(name for name, names in found.items() if "numpy" in names) == ["_kernels.py"]

@@ -11,23 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bindet import _kernels, cofactor_vector, det_exact, fib_prefix, spectrum_exhaustive
+from bindet.exact import subset_sums
+
+
+def _members(cells, lo):
+    """The values v whose cell v - lo is set in a Python-int bitset."""
+    return {s + lo for s in range(cells.bit_length()) if cells >> s & 1}
 
 
 def run_exhaustive(n, blocks):
     """Determinants marked by exhaustive_chunk over the given rank blocks."""
     offset = math.factorial(n)
-    seen = np.zeros(2 * offset + 1, dtype=np.uint8)
+    cells = 0
     for start, stop in blocks:
-        _kernels.exhaustive_chunk(n, start, stop, seen)
-    return set(int(i) - offset for i in np.flatnonzero(seen))
+        cells |= _kernels.exhaustive_chunk(n, start, stop, offset)
+    assert cells.bit_length() <= 2 * offset + 1
+    return _members(cells, -offset)
 
 
 def run_family(cof):
-    lo = sum(c for c in cof if c < 0)
-    hi = sum(c for c in cof if c > 0)
-    seen = np.zeros(hi - lo + 1, dtype=np.uint8)
-    _kernels.family_bitmap(np.array(cof, dtype=np.int64), lo, seen)
-    return set(int(i) + lo for i in np.flatnonzero(seen))
+    """The family sweep: subset sums of |cof|, shifted down by the negative sum."""
+    return _members(subset_sums(sorted(abs(c) for c in cof if c)), sum(c for c in cof if c < 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -239,7 +243,7 @@ def _direct_subset_sums(cof):
     return {sum(c for i, c in enumerate(cof) if mask >> i & 1) for mask in range(1 << len(cof))}
 
 
-def test_family_numpy_against_direct_subsets():
+def test_family_sweep_against_direct_subsets():
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(1, 10)
@@ -253,7 +257,7 @@ def _fibonacci_then_negated_tail(k, length, tail):
     return w[:length - tail] + [-x for x in w[length - tail:]]
 
 
-@pytest.mark.parametrize("cof", [
+EDGE_COFACTORS = [
     [0], [0, 0, 0], [0, 3, 0, -2, 0],  # zero cofactors
     [5, 5, 5], [-4, -4, 4, 4], [2, -2, 2, -2, 7],  # repeated values
     [1, 2, 3, 10, 40], [40, 10, 3, 2, 1],  # all positive
@@ -263,11 +267,24 @@ def _fibonacci_then_negated_tail(k, length, tail):
     _fibonacci_then_negated_tail(2, 10, 3),
     _fibonacci_then_negated_tail(3, 12, 4),
     [-c for c in _fibonacci_then_negated_tail(4, 13, 5)],
-])
-def test_family_window_in_both_directions(cof):
-    # The window grows left for a negative weight and right for a positive
-    # one, in whatever order the weights arrive.
+]
+
+
+@pytest.mark.parametrize("cof", EDGE_COFACTORS)
+def test_family_sweep_on_edge_cofactors(cof):
+    # Whatever the order and the signs of the cofactors, the sweep over
+    # their sorted magnitudes, shifted by the negative sum, gives S(C).
     assert run_family(cof) == _direct_subset_sums(cof)
+
+
+@pytest.mark.parametrize("cof", EDGE_COFACTORS + [[3, -7], [-2, 6, 0, 1]])
+def test_family_bitmap_adapter_equals_the_sweep(cof):
+    lo = sum(c for c in cof if c < 0)
+    for pad in (0, 9):  # a longer array and a lower lo shift the cells up
+        seen = np.zeros(sum(map(abs, cof)) + 1 + pad, dtype=np.uint8)
+        _kernels.family_bitmap(np.array(cof, dtype=np.int64), lo - pad, seen)
+        assert set(seen.tolist()) <= {0, 1}
+        assert {int(i) + lo - pad for i in np.flatnonzero(seen)} == run_family(cof)
 
 
 @settings(max_examples=300, deadline=None)

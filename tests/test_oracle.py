@@ -1,10 +1,12 @@
 """Brute-force spectra and the direct identity verifiers."""
 
+import concurrent.futures
+import io
 import itertools
 import os
 import random
+from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +64,16 @@ class TestSpectrumExhaustive:
         assert r.values == (-3, -2, -1, 0, 1, 2, 3)
         assert r.d == 4
 
+    @pytest.mark.parametrize("n, largest, d", [
+        (1, 1, 2), (2, 1, 2), (3, 2, 3), (4, 3, 4), (5, 5, 6), (6, 9, 10)])
+    def test_published_spectra_on_one_and_two_workers(self, n, largest, d):
+        # Largest |det| (OEIS A003432) and the least missing natural d_n
+        # (OEIS A013588); every value between -largest and largest is reached.
+        one, two = spectrum_exhaustive(n, workers=1), spectrum_exhaustive(n, workers=2)
+        assert one.values == tuple(range(0 if n == 1 else -largest, largest + 1))
+        assert (one.d, one.count) == (d, len(one.values))
+        assert (two.seen, two.lo, two.to_text()) == (one.seen, one.lo, one.to_text())
+
     def test_worker_partitioning_is_deterministic(self):
         # The 85 row sets at n=4 and the 2,051 at n=5 do not split into 2,
         # 3 or 8 equal blocks; the block count is also capped by the CPU count.
@@ -89,7 +101,7 @@ class TestSpectrumExhaustive:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(oracle, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         r = spectrum_exhaustive(4, workers=10**6)
         assert all(w <= (os.cpu_count() or 1) for w in asked)
         assert len(asked) == (0 if (os.cpu_count() or 1) == 1 else 1)
@@ -158,24 +170,57 @@ class TestWindowedText:
     @pytest.mark.parametrize("window", [1, 3, 7])
     def test_random_families_with_negative_lo(self, monkeypatch, window):
         monkeypatch.setattr(oracle, "_VALUES_WINDOW", window)
-        rng = random.Random(window)
-        reports = [_bitmap_report(cof) for cof in ([-3, 5], [0, -5, 0], [-9, 1, 20, -2])]
-        for n in (3, 5, 6, 7):
-            rows = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n - 1)]
-            reports.append(spectrum_family(rows))
-        assert sum(r.lo < 0 for r in reports) >= 5
-        for r in reports:
-            expect = [v for v in range(r.lo, r.lo + r.seen.size) if r.seen[v - r.lo]]
+        for r in _reports_with_negative_lo(window):
+            cells = range(r.seen.bit_length())
+            expect = [c + r.lo for c in cells if r.seen >> c & 1]
             assert r.to_text().splitlines()[5] == "values " + " ".join(map(str, expect))
             assert "values" not in vars(r)
 
 
-def _bitmap_report(cof):
-    lo = sum(c for c in cof if c < 0)
-    hi = sum(c for c in cof if c > 0)
-    seen = np.zeros(hi - lo + 1, dtype=np.uint8)
-    _kernels.family_bitmap(np.array(cof, dtype=np.int64), lo, seen)
-    return oracle.SpectrumReport(len(cof), "family", seen, lo, 0.0)
+def _reports_with_negative_lo(seed):
+    rng = random.Random(seed)
+    reports = [_family_report(cof) for cof in ([-3, 5], [0, -5, 0], [-9, 1, 20, -2])]
+    for n in (3, 5, 6, 7):
+        rows = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n - 1)]
+        reports.append(spectrum_family(rows))
+    assert sum(r.lo < 0 for r in reports) >= 5
+    return reports
+
+
+class TestStreamedDocument:
+    """write puts the same bytes onto a sink as to_text, a window at a time."""
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_streamed_bytes_equal_to_text(self, monkeypatch, window):
+        reports = [spectrum_exhaustive(n) for n in EXHAUSTIVE_VALUES]
+        reports += _reports_with_negative_lo(window)
+        expected = [(r.to_text(), r.to_text(include_values=False)) for r in reports]
+        monkeypatch.setattr(oracle, "_VALUES_WINDOW", window)
+        for r, (text, short) in zip(reports, expected):
+            for include_values, want in ((True, text), (False, short)):
+                out, echo = io.StringIO(), io.StringIO()
+                r.write(out, include_values, echo=(echo,))
+                assert out.getvalue() == r.to_text(include_values) == want
+                assert echo.getvalue() == (want.splitlines()[5][len("values "):]
+                                           if include_values else "")
+            assert "values" not in vars(r)
+
+    def test_n1_and_empty_value_lists(self):
+        out = io.StringIO()
+        spectrum_exhaustive(1).write(out)
+        assert out.getvalue() == "spectrum\nn 1\nmode exhaustive\ncount 2\nd 2\nvalues 0 1\nend\n"
+        # No cell set: the values line keeps its single space.
+        empty = oracle.SpectrumReport(2, "family", 0, -4, 0.0)
+        assert empty.to_text() == "spectrum\nn 2\nmode family\ncount 0\nd 1\nvalues \nend\n"
+        out = io.StringIO()
+        empty.write_values(out)
+        assert out.getvalue() == "" and empty.values == ()
+
+
+def _family_report(cof):
+    """spectrum_family's report for fixed rows whose cofactors are cof."""
+    with mock.patch.object(oracle, "cofactor_vector", lambda rows: tuple(cof)):
+        return spectrum_family([()])
 
 
 def _subset_sums(cof):
@@ -183,26 +228,48 @@ def _subset_sums(cof):
                    for mask in itertools.product((0, 1), repeat=len(cof))})
 
 
-class TestReportFromBitmap:
-    """values and d read off the bitmap against a plain subset-sum enumeration."""
+def _signed(big, small, positive):
+    """One large weight against small ones of the other sign."""
+    return [big if positive else -big] + [-c if positive else c for c in small]
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=9))
+
+COFACTOR_VECTORS = st.one_of(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=9),
+    st.lists(st.sampled_from([0, 0, 2, -2, 3, 3, -5]), min_size=1, max_size=9),  # zeros, repeats
+    st.lists(st.integers(-40, -1), min_size=1, max_size=9),  # all negative
+    st.integers(-10**4, 10**4).map(lambda c: [c]),  # a single entry
+    st.builds(_signed, st.integers(50, 10**4), st.lists(st.integers(1, 9), max_size=8),
+              st.booleans()),
+    st.builds(lambda k, sign: [sign] * k, st.integers(1, 9), st.sampled_from([1, -1])),  # full
+)
+
+
+class TestReportFromBitmap:
+    """values, count and d read off the family bitset against a plain subset-sum enumeration."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(COFACTOR_VECTORS)
     def test_random_cofactors(self, cof):
-        r = _bitmap_report(cof)
+        r = _family_report(cof)
         expect = _subset_sums(cof)
+        assert r.lo == sum(c for c in cof if c < 0)
         assert r.values == tuple(expect)
         assert r.count == len(expect)
         assert r.d == smallest_missing_natural(expect)
 
     def test_every_natural_up_to_hi_is_reachable(self):
-        r = _bitmap_report([1, 2, 4, -3])
-        assert r.values == tuple(range(-3, 8))
-        assert r.d == 8 == smallest_missing_natural(r.values)
+        # Every cell is set: each value from lo to lo + size - 1 is reached,
+        # so d = lo + size.
+        for cof in ([1, 2, 4, -3], [1, 1, 1], [1], [5, -1, -2, -2, 1, 1, 1]):
+            r = _family_report(cof)
+            size = sum(map(abs, cof)) + 1
+            assert r.seen == (1 << size) - 1
+            assert r.values == tuple(range(r.lo, r.lo + size))
+            assert r.d == r.lo + size == smallest_missing_natural(r.values)
 
     @pytest.mark.parametrize("cof", [[-1, -2], [0, -5, 0], [-3]])
     def test_nonpositive_cofactors(self, cof):
-        r = _bitmap_report(cof)
+        r = _family_report(cof)
         assert r.values == tuple(_subset_sums(cof))
         assert r.d == 1
 
@@ -211,7 +278,7 @@ class TestReportFromBitmap:
         r = spectrum_family([(1, 1, 0), (1, 1, 0)])
         assert r.values == (0,)
         assert r.d == 1 and r.count == 1
-        assert _bitmap_report([0, 0, 0]).values == (0,)
+        assert _family_report([0, 0, 0]).values == (0,)
 
 
 class TestSpectrumFamily:
