@@ -14,7 +14,8 @@ is zero in the pivot column is not rescaled but left to catch up at its
 next real update, which on sparse 0/1 matrices skips most of the work.
 Exactness is checked once per row: floor remainders all take the divisor's
 sign, so a row divides exactly iff the sum of its numerators equals the
-divisor times the sum of its quotients.
+divisor times the sum of its quotients, and each row's sum is carried
+beside it.  A division by 1 is exact, so it is skipped with its check.
 
 Entries are taken through ``operator.index``: ints, bools and numpy
 integers pass, while a float or a string raises TypeError instead of being
@@ -23,12 +24,14 @@ truncated or parsed.  ``IntMatrix`` is a ``_record.Record``.  Its
 private ``IntMatrix._of_checked_rows``, which carries its text (a slot, not
 a field) and checks nothing: construction checks and renders the fixed
 lower rows of each (n, k) once and builds only the 0/1 top row per target.
-``subset_sums`` is the Python-int shift-or sweep that both spectrum
-oracles run on their cofactor magnitudes.
+``subset_sums`` is the Python-int subset-sum bitset of both spectrum
+oracles: one mask over a complete prefix of weights, as the k-step
+Fibonacci weights are, then one shift-or per weight.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -116,36 +119,37 @@ def parse_rows(text: str, extra: int = 0) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_row(row: list[int], top: list[int], piv: int, f: int, d: int,
-                top_sum: int) -> list[int]:
-    """(piv * row - f * top) // d entrywise, insisting that it is exact.
+def _reduce_row(row: list[int], row_sum: int, top: list[int], top_sum: int,
+                piv: int, f: int, d: int) -> tuple[list[int], int]:
+    """((piv * row - f * top) // d entrywise, its sum), insisting that it is exact.
 
+    row_sum and top_sum are the sums of row and top, carried by the caller.
     Floor remainders all take the sign of d, so they vanish together exactly
     when the numerators sum to d times the quotients' sum: one check per
-    row, not per entry.  top_sum is sum(top), computed once per pivot step
-    by the caller; it is unused when f is 0.
+    row, not per entry.  Dividing by 1 is exact, so d = 1 neither divides
+    nor checks.
     """
-    if f:
-        quo = [(x * piv - f * y) // d for x, y in zip(row, top)]
-        total = piv * sum(row) - f * top_sum
-    else:
-        quo = [x * piv // d for x in row]
-        total = piv * sum(row)
-    if total != d * sum(quo):
+    total = piv * row_sum - f * top_sum
+    if d == 1:
+        return [x * piv - f * y for x, y in zip(row, top)], total
+    quo = [(x * piv - f * y) // d for x, y in zip(row, top)]
+    quo_sum = sum(quo)
+    if total != d * quo_sum:
         raise InternalInvariantError(
             "fraction-free elimination produced a nonzero remainder"
         )
-    return quo
+    return quo, quo_sum
 
 
 def _eliminate(rows: Sequence[Sequence[int]]):
     """Fraction-free elimination of m rows of width n >= m.
 
-    Per column, the first nonzero among the rows not yet used as pivots is
-    the pivot; a column without one is skipped.  Returns the sign of the row
-    swaps, the m pivot columns and the reduced rows as lists of ints, whose
-    row t is the Bareiss pivot row of step t; or None when the rank is
-    below m.
+    Per column, one pass lists the rows not yet used as pivots that are
+    nonzero there: the first is the pivot and the rest are updated; a column
+    without one is skipped.  Each row's entry sum is carried beside it for
+    _reduce_row's check.  Returns the sign of the row swaps, the m pivot
+    columns and the reduced rows as lists of ints, whose row t is the
+    Bareiss pivot row of step t; or None when the rank is below m.
 
     A Bareiss step multiplies a row that is zero in the pivot column by
     piv / prev, so over a run of such steps the factors telescope.  Such a
@@ -155,6 +159,7 @@ def _eliminate(rows: Sequence[Sequence[int]]):
     reduces to (row * piv - f * top) / div.
     """
     a = [list(map(index, row)) for row in rows]
+    sums = list(map(sum, a))
     m = len(a)
     width = len(a[0]) if a else 0
     div = [1] * m
@@ -168,28 +173,29 @@ def _eliminate(rows: Sequence[Sequence[int]]):
         t = len(pivots)
         if t == m:
             break
-        p = next((i for i in range(t, m) if a[i][c]), None)
-        if p is None:
+        hit = [i for i in range(t, m) if a[i][c]]
+        if not hit:
             if c + 1 - t > width - m:
                 return None  # too few columns left for m pivots
             lo = min(lo, c)
             continue
+        p = hit[0]
         if p != t:
             a[t], a[p] = a[p], a[t]
+            sums[t], sums[p] = sums[p], sums[t]
             div[t], div[p] = div[p], div[t]
             sign = -sign
         if div[t] != prev:
-            a[t] = _reduce_row(a[t], a[t], prev, 0, div[t], 0)
+            a[t], sums[t] = _reduce_row(a[t], sums[t], a[t], 0, prev, 0, div[t])
         piv = a[t][c]
         s = min(lo, c)
-        top = a[t][s:]
-        top_sum = sum(top)
-        for i in range(t + 1, m):
+        top, top_sum = a[t][s:], sums[t]
+        # Rows t+1..p-1 are zero in column c, and row p now holds the old
+        # row t, which is too.
+        for i in hit[1:]:
             row = a[i]
-            f = row[c]
-            if f:
-                row[s:] = _reduce_row(row[s:], top, piv, f, div[i], top_sum)
-                div[i] = piv
+            row[s:], sums[i] = _reduce_row(row[s:], sums[i], top, top_sum, piv, row[c], div[i])
+            div[i] = piv
         pivots.append(c)
         prev = piv
     return sign, pivots, a
@@ -267,9 +273,19 @@ def is_orthogonal_to_all(v: Sequence[int], rows: Iterable[Sequence[int]]) -> boo
 def subset_sums(weights: Iterable[int]) -> int:
     """Bitset of the subset sums of nonnegative weights: bit s is set iff some subset sums to s.
 
-    One shift-or per weight; given in increasing order, the bitset stays short longest.
+    While each weight is at most 1 + the sum s of those before it, the sums
+    fill [0, s], in any order, so that prefix costs one mask.  Each weight
+    from the first gap on costs one shift-or, which raises ValueError on a
+    negative weight; given in increasing order, the prefix is longest.
     """
-    reach = 1
+    s = 0
+    weights = iter(weights)
+    for w in weights:
+        if not 0 <= w <= s + 1:
+            weights = chain((w,), weights)
+            break
+        s += w
+    reach = (1 << (s + 1)) - 1
     for w in weights:
         reach |= reach << w
     return reach

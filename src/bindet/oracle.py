@@ -171,10 +171,11 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
 
     The cofactors C of the fixed rows are computed exactly.  The reached
     values are the subset sums of C, which are those of |C| shifted down by
-    lo, the sum of the negative C_j: one shift-or sweep per nonzero |C_j|,
-    in increasing order, over at most sum(|C_j|) + 1 <= _FAMILY_MAX_CELLS =
-    2^28 cells.  Rows of the wrong shape raise ValueError from
-    cofactor_vector.
+    lo, the sum of the negative C_j: exact.subset_sums over the nonzero
+    |C_j| in increasing order, one mask for their complete prefix and a
+    shift-or for each weight after it, over at most sum(|C_j|) + 1 <=
+    _FAMILY_MAX_CELLS = 2^28 cells.  Rows of the wrong shape raise
+    ValueError from cofactor_vector.
     """
     t0 = time.perf_counter()
     n = len(rows) + 1

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bindet import (
@@ -14,10 +14,12 @@ from bindet import (
     cofactor_vector,
     det_exact,
     dot,
+    fib_prefix,
     is_orthogonal_to_all,
     seed_matrix,
 )
 from bindet import exact
+from bindet.cli import main
 
 
 def det_permsum(rows):
@@ -237,6 +239,49 @@ class TestOrthogonality:
         assert is_orthogonal_to_all(v_10_3, binary_rows(10, 3)[1:])
 
 
+def subset_sums_by_enumeration(weights):
+    """Independent oracle: the bitset of the sums of all 2^len subsets."""
+    reach = 0
+    for size in range(len(weights) + 1):
+        for subset in itertools.combinations(weights, size):
+            reach |= 1 << sum(subset)
+    return reach
+
+
+@st.composite
+def complete_prefix_then_gap(draw):
+    """A complete k-step Fibonacci prefix, a weight past its sum + 1, then anything."""
+    prefix = fib_prefix(draw(st.integers(2, 5)), draw(st.integers(0, 6)))
+    gap = sum(prefix) + draw(st.integers(2, 30))
+    return prefix + [gap] + draw(st.lists(st.integers(0, 60), max_size=3))
+
+
+class TestSubsetSums:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 40), max_size=10),
+        st.lists(st.sampled_from([0, 1, 2, 3, 5]), max_size=10),
+        complete_prefix_then_gap(),
+        complete_prefix_then_gap().flatmap(st.permutations),
+    ))
+    def test_matches_enumeration_in_any_order(self, weights):
+        expected = subset_sums_by_enumeration(weights)
+        assert exact.subset_sums(weights) == exact.subset_sums(iter(weights)) == expected
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_complete_fibonacci_prefixes_fill_an_interval(self, k):
+        for m in range(12):
+            weights = fib_prefix(k, m)
+            full = (1 << (sum(weights) + 1)) - 1
+            assert exact.subset_sums(weights) == subset_sums_by_enumeration(weights) == full
+
+    @pytest.mark.parametrize("weights", [[-1], [0, -1], [1, 1, -1, 2], [1, 2, 10, -1],
+                                         [3, -2], [1, 1, 2, 4, 50, 3, -7]])
+    def test_a_negative_weight_raises(self, weights):
+        with pytest.raises(ValueError):
+            exact.subset_sums(weights)
+
+
 @st.composite
 def square_int_matrix(draw, max_n=5, lo=-3, hi=3):
     n = draw(st.integers(2, max_n))
@@ -256,16 +301,64 @@ small_ints = st.integers(-50, 50)
     st.integers(-6, 6).filter(bool),
     st.booleans(),
 )
+@example(pairs=[(1, 2), (-3, 5)], piv=7, f=2, d=1, scale=False)
+@example(pairs=[(1, 2), (-3, 5)], piv=7, f=0, d=1, scale=False)
 def test_row_reduction_raises_iff_a_remainder_is_left(pairs, piv, f, d, scale):
+    # d = 1 skips the division and the check, and never leaves a remainder.
     if scale:  # every numerator a multiple of d, so the row is exact
         pairs = [(x * d, y * d) for x, y in pairs]
     row, top = [x for x, _ in pairs], [y for _, y in pairs]
     nums = [piv * x - f * y for x, y in pairs]
     if any(v % d for v in nums):
         with pytest.raises(InternalInvariantError):
-            exact._reduce_row(row, top, piv, f, d, sum(top))
+            exact._reduce_row(row, sum(row), top, sum(top), piv, f, d)
     else:
-        assert exact._reduce_row(row, top, piv, f, d, sum(top)) == [v // d for v in nums]
+        quo = [v // d for v in nums]
+        assert exact._reduce_row(row, sum(row), top, sum(top), piv, f, d) == (quo, sum(quo))
+
+
+# The (19, 4) construction rows divide by Bareiss pivots other than 1.
+FAMILY_19_4 = binary_rows(19, 4)[1:]
+
+
+def _wrap_reduce_row(monkeypatch, corrupt):
+    """Record each _reduce_row divisor; with corrupt, the first returned row sum is off by one."""
+    reduce_row, divisors = exact._reduce_row, []
+
+    def wrapped(*args):
+        quo, quo_sum = reduce_row(*args)
+        divisors.append(args[-1])
+        return quo, quo_sum + (corrupt and len(divisors) == 1)
+
+    monkeypatch.setattr(exact, "_reduce_row", wrapped)
+    return divisors
+
+
+def test_the_family_divides_by_pivots_other_than_one(monkeypatch):
+    divisors = _wrap_reduce_row(monkeypatch, corrupt=False)
+    cofactor_vector(FAMILY_19_4)
+    # The corrupted sum below comes from a division by 1, which is unchecked.
+    assert divisors[0] == 1 and set(divisors) - {1}
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: det_exact([(1,) * 19, *FAMILY_19_4]),
+    lambda: cofactor_vector(FAMILY_19_4),
+], ids=["det_exact", "cofactor_vector"])
+def test_a_corrupted_carried_sum_is_an_invariant_failure(monkeypatch, compute):
+    _wrap_reduce_row(monkeypatch, corrupt=True)
+    with pytest.raises(InternalInvariantError, match="remainder"):
+        compute()
+
+
+def test_a_corrupted_carried_sum_exits_3(monkeypatch, capsys, tmp_path):
+    rows = tmp_path / "rows.txt"
+    rows.write_text("18\n" + "".join(" ".join(map(str, r)) + "\n" for r in FAMILY_19_4))
+    _wrap_reduce_row(monkeypatch, corrupt=True)
+    assert main(["spectrum", "--rows", str(rows)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("internal invariant failure:")
 
 
 @settings(max_examples=150, deadline=None)
