@@ -52,7 +52,7 @@ def cmd_construct(args) -> int:
     if args.format == "pretty":
         print(
             f"constructed {cert.params.n}x{cert.params.n} binary matrix with "
-            f"det {cert.certified_det} (k={cert.params.k}, "
+            f"det {cert.target} (k={cert.params.k}, "
             f"subset size {len(cert.subset)}, sign swap {cert.sign_swap_applied})"
         )
         if args.out:
@@ -75,7 +75,7 @@ def cmd_verify(args) -> int:
             for p in problems:
                 print(f"mismatch: {p}", file=sys.stderr)
             return 1
-        det = cert.certified_det
+        det = cert.target
         summary = f"certificate ok: n={cert.params.n} k={cert.params.k} det={det}"
     else:
         try:

@@ -26,7 +26,9 @@ sign swap exchanges.  A target pays for the greedy scan, the top row and
 one C-level pass over it: the matrix shares R's cached row tuples and text
 (through ``IntMatrix._of_checked_rows``, which checks nothing), and the
 subset line joins labels cached per n.  The parameters and the
-certificate are immutable ``_record.Record`` instances.
+certificate are immutable ``_record.Record`` instances; the certificate
+stores (params, target, matrix) and derives its subset, sign swap and
+determinant from them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .fibk import best_k, check_admissible, fib_prefix
 
 _CERT_HEADER = "certificate"
 _CERT_FIELDS = ("n", "k", "target", "subset", "sign_swap", "det")
+_CLAIMED_FIELDS = _CERT_FIELDS[3:]  # derived from the others; verify compares
 
 
 class ConstructionParams(Record):
@@ -187,29 +190,39 @@ def _greedy_scan(w: Sequence[int], target: int) -> tuple[int, ...]:
 class ConstructionCertificate(Record):
     """Full witness of one synthesis, re-checkable without trusting the builder.
 
-    subset holds 0-based positions into orthogonal_vector(n, k); the text
-    serialization writes them 1-based.  sign_swap_applied records whether
-    the bottom two rows were exchanged to negate the determinant for a
-    negative target.  Nothing derivable is stored: the vector comes from
-    (n, k) and the top row is matrix.rows[0].
+    Stores only (params, target, matrix); the rest is derived.  subset is
+    the 0-based positions of the 1s in the top row, which index
+    orthogonal_vector(n, k); the document writes them 1-based.
+    sign_swap_applied, the bottom two rows exchanged, is target < 0, and the
+    determinant is the target, since construct_matrix raises on any other.
+    from_text keeps a document's own subset, sign_swap and det lines in
+    _claims, which is not a field and is unset on a built certificate.
     """
 
-    __slots__ = ("params", "target", "subset", "sign_swap_applied", "matrix",
-                 "certified_det")
+    __slots__ = ("params", "target", "matrix", "_claims")
+
+    @property
+    def subset(self) -> tuple[int, ...]:
+        top = self.matrix.rows[0]
+        return tuple(compress(range(len(top)), top))
+
+    @property
+    def sign_swap_applied(self) -> bool:
+        return self.target < 0
+
+    def _derived_lines(self) -> tuple[str, str, str]:
+        """The subset, sign_swap and det lines of the document."""
+        labels = _subset_labels(self.params.n)
+        return ("subset" + "".join(compress(labels, self.matrix.rows[0])),
+                f"sign_swap {int(self.target < 0)}", f"det {self.target}")
 
     def to_text(self) -> str:
-        try:
-            subset = "".join(map(_subset_labels(self.params.n).__getitem__, self.subset))
-        except KeyError:  # an index outside [0, n): a hand-built or tampered record
-            subset = "".join(f" {i + 1}" for i in self.subset)
         head = "\n".join([
             _CERT_HEADER,
             f"n {self.params.n}",
             f"k {self.params.k}",
             f"target {self.target}",
-            "subset" + subset,
-            f"sign_swap {int(self.sign_swap_applied)}",
-            f"det {self.certified_det}",
+            *self._derived_lines(),
             "matrix",
         ])
         return f"{head}\n{self.matrix.to_text()}end\n"
@@ -219,7 +232,8 @@ class ConstructionCertificate(Record):
         """Parse the document to_text writes; anything else raises ValueError.
 
         Unknown or repeated fields and integers not written in canonical
-        decimal (no sign on positives, no leading zeros) are rejected.
+        decimal (no sign on positives, no leading zeros) are rejected.  The
+        subset, sign_swap and det lines go to _claims, single-spaced.
         """
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != _CERT_HEADER:
@@ -248,23 +262,22 @@ class ConstructionCertificate(Record):
             raise ValueError("certificate has a malformed field value")
         matrix = IntMatrix.from_text("\n".join(matrix_lines))
         try:
-            n = int(fields["n"])
-            k = int(fields["k"])
-            target = int(fields["target"])
-            subset = tuple(int(tok) - 1 for tok in fields["subset"].split())
+            # det is only checked to be one integer; verify compares its line.
+            n, k, target, _ = (int(fields[key]) for key in ("n", "k", "target", "det"))
             if fields["sign_swap"] not in ("0", "1"):
                 raise ValueError
-            sign_swap = fields["sign_swap"] == "1"
-            det = int(fields["det"])
         except ValueError:
             raise ValueError("certificate has a malformed field value") from None
-        return cls(ConstructionParams(n, k), target, subset, sign_swap, matrix, det)
+        cert = cls(ConstructionParams(n, k), target, matrix)
+        claims = (" ".join([key, *fields[key].split()]) for key in _CLAIMED_FIELDS)
+        _set(cert, "_claims", tuple(claims))
+        return cert
 
 
 @lru_cache(maxsize=64)
-def _subset_labels(n: int) -> dict[int, str]:
-    """The fields " 1", ..., " n" of a subset line, keyed by 0-based index."""
-    return {i: f" {i + 1}" for i in range(n)}
+def _subset_labels(n: int) -> tuple[str, ...]:
+    """The fields " 1", ..., " n" of a subset line, by 0-based index."""
+    return tuple(f" {i}" for i in range(1, n + 1))
 
 
 def _is_canonical_int(tok: str) -> bool:
@@ -337,8 +350,8 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
     k defaults to the bound-maximizing step count.  |target| may be any
     value up to theorem_bound(n, k).  Negative targets are realized by
     building the positive matrix and swapping its bottom two rows, which
-    negates the determinant and keeps every entry 0/1.  The certificate's
-    determinant is the exact dot product of the top row with the cofactor
+    negates the determinant and keeps every entry 0/1.  The determinant is
+    certified as the exact dot product of the top row with the cofactor
     vector certified once per (n, k) (module docstring), negated under the
     row swap; a mismatch with the target is an internal error.
     verify_certificate recomputes the full determinant instead.
@@ -367,56 +380,42 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
         raise InternalInvariantError(
             f"certification failed: built determinant {certified}, wanted {target}"
         )
-    return ConstructionCertificate(params, target, subset, sign_swap, matrix, certified)
+    return ConstructionCertificate(params, target, matrix)
 
 
 def verify_certificate(cert: ConstructionCertificate) -> list[str]:
     """Re-check every certificate invariant; returns problems, empty when clean.
 
-    Checks binarity, the recomputed determinant, the subset sum against
-    orthogonal_vector(n, k), the top row indicator, rows 2..n against the
-    (n, k) construction rows (bottom two exchanged exactly under sign_swap),
-    orthogonality of the vector to rows 2..n of the stored matrix, and the
-    canonical form of the fields the construction derives: a strictly
-    increasing subset and a sign swap exactly when the target is negative.
+    First, each line a parsed document claims (subset, sign_swap, det) is
+    compared with the one derived from the target and the matrix.  Then the
+    math on (params, target, matrix): the matrix is n x n and 0/1, the top
+    row's 1s lie in [0, n-k) and their entries of orthogonal_vector(n, k)
+    sum to |target|, rows 2..n are the (n, k) construction rows for the
+    target's sign, the vector is orthogonal to them, and the recomputed
+    determinant is the target.
     """
-    problems = []
-    n, k = cert.params.n, cert.params.k
+    n, k, target = cert.params.n, cert.params.k, cert.target
     if cert.matrix.n != n:
-        problems.append(f"matrix size {cert.matrix.n} does not match n {n}")
-        return problems
+        return [f"matrix size {cert.matrix.n} does not match n {n}"]
+    problems = [
+        f"document says '{claimed}' but its target and matrix give '{derived}'"
+        for claimed, derived in zip(getattr(cert, "_claims", ()), cert._derived_lines())
+        if claimed != derived
+    ]
     if not cert.matrix.is_binary():
         problems.append("matrix entries are not all 0/1")
-
     v = orthogonal_vector(n, k)
-    if cert.sign_swap_applied != (cert.target < 0):
-        problems.append(
-            f"sign_swap {int(cert.sign_swap_applied)} but the construction swaps "
-            f"exactly when the target is negative (target {cert.target})"
-        )
-    if any(a >= b for a, b in zip(cert.subset, cert.subset[1:])):
-        problems.append("subset indices are not strictly increasing")
-    if not all(0 <= i < n - k for i in cert.subset):
+    top, lower = cert.matrix.rows[0], cert.matrix.rows[1:]
+    if any(top[n - k:]):
         problems.append(f"subset indices out of range [0, {n - k})")
-    else:
-        ssum = sum(v[i] for i in cert.subset)
-        if ssum != abs(cert.target):
-            problems.append(f"subset sums to {ssum}, expected |target| = {abs(cert.target)}")
-    members = set(cert.subset)
-    if cert.matrix.rows[0] != tuple(1 if j in members else 0 for j in range(n)):
-        problems.append("matrix top row is not the subset indicator")
-    if cert.matrix.rows[1:] != _lower_rows(n, k)[cert.sign_swap_applied]:
+    elif (ssum := sum(compress(v, top))) != abs(target):
+        problems.append(f"subset sums to {ssum}, expected |target| = {abs(target)}")
+    if lower != _lower_rows(n, k)[target < 0]:
         problems.append(f"rows 2..n are not the construction rows for n={n}, k={k}")
-    # Row swaps permute but never change the set of non-top rows, so
-    # orthogonality must hold on the stored matrix regardless of the flags.
-    if not is_orthogonal_to_all(v, cert.matrix.rows[1:]):
+    # Orthogonality is checked on the stored rows, whatever their order.
+    if not is_orthogonal_to_all(v, lower):
         problems.append("orthogonal vector is not orthogonal to rows 2..n")
-
     recomputed = det_exact(cert.matrix)
-    if recomputed != cert.certified_det:
-        problems.append(
-            f"certified_det {cert.certified_det} but recomputed determinant {recomputed}"
-        )
-    if cert.certified_det != cert.target:
-        problems.append(f"certified_det {cert.certified_det} differs from target {cert.target}")
+    if recomputed != target:
+        problems.append(f"target {target} but recomputed determinant {recomputed}")
     return problems

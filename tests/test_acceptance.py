@@ -54,8 +54,7 @@ def test_criterion_1_exact_range_10_3():
     assert bound == 52  # 1+1+2+4+7+13+24
     for a in range(-bound, bound + 1):
         cert = construct_matrix(10, a, 3)
-        assert cert.certified_det == a
-        assert det_exact(cert.matrix) == a
+        assert cert.target == det_exact(cert.matrix) == a
         assert cert.matrix.is_binary()
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"range sweep took {elapsed:.1f}s, limit 5s"
@@ -75,7 +74,7 @@ def test_criterion_2_scaled_sweep():
         for _ in range(1000):
             a = rng.randint(-bound, bound)
             cert = construct_matrix(n, a, k)
-            assert cert.certified_det == a, (n, k, a)
+            assert cert.target == a, (n, k, a)
             if sample.random() < 0.02:
                 assert det_exact(cert.matrix) == a, (n, k, a)
                 rechecked += 1
@@ -210,6 +209,6 @@ def test_criterion_8_cli_round_trip(tmp_path):
         mutated = tmp_path / f"cert_{i}_flip.txt"
         mutated.write_text("\n".join(lines) + "\n")
         code = main(["verify", str(mutated)])
-        assert code in (1, 3), (n, k, a, code)
+        assert code == 1, (n, k, a, code)
         caught += 1
     _ok(8, f"200 construct/verify round trips clean; {caught}/200 bit flips caught")

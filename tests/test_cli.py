@@ -102,7 +102,7 @@ class TestVerify:
         lines[row] = " ".join(cells)
         path.write_text("\n".join(lines) + "\n")
         code, _, err = run(capsys, "verify", str(path))
-        assert code in (1, 3)
+        assert code == 1
         assert "mismatch" in err
 
     def test_flipped_sign_swap_is_caught(self, capsys, tmp_path):

@@ -30,13 +30,21 @@ from bindet import construction
 from bindet.cli import main as cli_main
 from bindet.fibk import check_admissible
 
-CERT_FIELDS = ("params", "target", "subset", "sign_swap_applied", "matrix", "certified_det")
+FIRST_ROW_LINE = 9  # certificate, n, k, target, subset, sign_swap, det, matrix, size
 
 
-def rebuilt(cert, **changes):
-    """A copy of cert with the given fields replaced, built by keyword."""
-    assert set(changes) <= set(CERT_FIELDS), changes
-    return ConstructionCertificate(**{f: changes.get(f, getattr(cert, f)) for f in CERT_FIELDS})
+def tampered(cert, edit):
+    """cert's document with edit applied to its list of lines, parsed back."""
+    lines = cert.to_text().splitlines()
+    edit(lines)
+    return ConstructionCertificate.from_text("\n".join(lines) + "\n")
+
+
+def with_line(old, new):
+    """An edit that replaces the one line old with new."""
+    def edit(lines):
+        lines[lines.index(old)] = new
+    return edit
 
 
 class TestSeedMatrix:
@@ -215,24 +223,24 @@ class TestConstructMatrix:
         cert = construct_matrix(10, 0, 3)
         assert cert.subset == ()
         assert cert.matrix.rows[0] == (0,) * 10
-        assert cert.certified_det == 0
+        assert cert.target == 0
 
     def test_full_bound_target(self):
         cert = construct_matrix(10, 52, 3)
-        assert cert.certified_det == 52
+        assert cert.target == 52
         assert cert.matrix.is_binary()
         assert det_exact(cert.matrix) == 52
 
     def test_negative_target(self):
         cert = construct_matrix(10, -17, 3)
-        assert cert.certified_det == -17
+        assert cert.target == det_exact(cert.matrix) == -17
         assert cert.sign_swap_applied
         assert cert.matrix.is_binary()
 
     def test_default_k_is_best(self):
         cert = construct_matrix(12, 5)
         assert cert.params.k == 3  # best_k(12)
-        assert cert.certified_det == 5
+        assert cert.target == 5
 
     def test_out_of_range_reports_bound(self):
         with pytest.raises(TargetOutOfRangeError, match="at most 52"):
@@ -274,12 +282,12 @@ class TestConstructMatrix:
         assert det_exact(binary_rows(11, 3)) == -1
         for a in (0, 1, -1, 7, 96, -96):
             cert = construct_matrix(11, a, 3)
-            assert cert.certified_det == det_exact(cert.matrix) == a
+            assert cert.target == det_exact(cert.matrix) == a
 
     def test_sweep_small_case(self):
         bound = theorem_bound(8, 2)
         for a in range(-bound, bound + 1):
-            assert construct_matrix(8, a, 2).certified_det == a
+            assert det_exact(construct_matrix(8, a, 2).matrix) == a
 
     def test_corrupted_vector_is_never_certified(self, monkeypatch):
         # Only the per-(n, k) orthogonality check stands between a wrong
@@ -378,7 +386,7 @@ def admissible_target(draw):
 def test_dot_product_certificate_matches_full_determinant(case):
     n, k, a = case
     cert = construct_matrix(n, a, k)
-    assert cert.certified_det == det_exact(cert.matrix) == a
+    assert cert.target == det_exact(cert.matrix) == a
     assert cert.sign_swap_applied == (a < 0)
 
 
@@ -486,14 +494,18 @@ class TestSubsetLine:
         info = construction._subset_labels.cache_info()
         assert info.misses == len(sizes) and info.currsize == 64
 
-    @pytest.mark.parametrize("subset", [(-1,), (0, 9, 10), (12, -3, 4), (100,)])
-    def test_indices_outside_the_table_are_written_as_given(self, subset):
-        # Only a hand-built or tampered record holds these; verify reports them.
-        cert = rebuilt(construct_matrix(10, 20, 3), subset=subset)
-        text = cert.to_text()
-        assert text.splitlines()[4] == per_index_subset_line(subset)
-        assert ConstructionCertificate.from_text(text) == cert
-        assert verify_certificate(cert)
+    @pytest.mark.parametrize("line", [
+        "subset -1", "subset 0", "subset 1 10 11", "subset 13 -2 5", "subset 100", "subset 101",
+    ])
+    def test_indices_outside_the_matrix_are_claims_verify_rejects(self, line):
+        # The subset line is a claim about the top row; to_text writes the
+        # top row's own subset, whatever the parsed document said.
+        cert = construct_matrix(10, 20, 3)
+        parsed = tampered(cert, with_line("subset 5 6", line))
+        assert parsed == cert and parsed.to_text() == cert.to_text()
+        assert verify_certificate(parsed) == [
+            f"document says '{line}' but its target and matrix give 'subset 5 6'"
+        ]
 
 
 class TestCertificateSerialization:
@@ -502,49 +514,48 @@ class TestCertificateSerialization:
             cert = construct_matrix(10, a, 3)
             parsed = ConstructionCertificate.from_text(cert.to_text())
             assert parsed == cert
+            assert verify_certificate(parsed) == []
 
     def test_verify_clean(self):
         cert = construct_matrix(12, 100, 4)  # bound at (12, 4) is 116
         assert verify_certificate(cert) == []
 
-    def test_verify_catches_flipped_bit(self):
+    @pytest.mark.parametrize("i", range(10))
+    def test_verify_catches_flipped_bit(self, i):
         cert = construct_matrix(10, 21, 3)
-        rng = random.Random(5)
-        i = rng.randrange(10)
-        j = rng.randrange(10)
-        rows = [list(r) for r in cert.matrix.rows]
-        rows[i][j] ^= 1
-        mutated = ConstructionCertificate(
-            params=cert.params,
-            target=cert.target,
-            subset=cert.subset,
-            sign_swap_applied=cert.sign_swap_applied,
-            matrix=IntMatrix(rows),
-            certified_det=cert.certified_det,
-        )
-        assert verify_certificate(mutated)
+        j = random.Random(i).randrange(10)
+
+        def flip(lines):
+            cells = lines[FIRST_ROW_LINE + i].split()
+            cells[j] = "1" if cells[j] == "0" else "0"
+            lines[FIRST_ROW_LINE + i] = " ".join(cells)
+
+        assert verify_certificate(tampered(cert, flip))
 
     def test_verify_catches_wrong_det_claim(self):
         cert = construct_matrix(10, 21, 3)
-        lying = ConstructionCertificate(
-            params=cert.params,
-            target=22,
-            subset=cert.subset,
-            sign_swap_applied=cert.sign_swap_applied,
-            matrix=cert.matrix,
-            certified_det=22,
-        )
-        problems = verify_certificate(lying)
-        assert any("recomputed" in p or "subset" in p for p in problems)
+        assert verify_certificate(tampered(cert, with_line("det 21", "det 22"))) == [
+            "document says 'det 22' but its target and matrix give 'det 21'"
+        ]
 
-    def test_verify_rejects_flipped_sign_swap(self):
+        def retarget(lines):
+            with_line("target 21", "target 22")(lines)
+            with_line("det 21", "det 22")(lines)
+
+        assert verify_certificate(tampered(cert, retarget)) == [
+            "subset sums to 21, expected |target| = 22",
+            "target 22 but recomputed determinant 21",
+        ]
+
+    @pytest.mark.parametrize("a, old, new", [(20, "sign_swap 0", "sign_swap 1"),
+                                             (-20, "sign_swap 1", "sign_swap 0")])
+    def test_verify_rejects_flipped_sign_swap(self, a, old, new):
         # The swap flag does not change the matrix, so the determinant checks
-        # alone cannot see it; the canonical-form check must.
-        cert = construct_matrix(10, 20, 3)
-        flipped = rebuilt(cert, sign_swap_applied=True)
-        assert any("sign_swap" in p for p in verify_certificate(flipped))
-        unflipped = rebuilt(construct_matrix(10, -20, 3), sign_swap_applied=False)
-        assert any("sign_swap" in p for p in verify_certificate(unflipped))
+        # alone cannot see it; the comparison with target < 0 must.
+        parsed = tampered(construct_matrix(10, a, 3), with_line(old, new))
+        assert verify_certificate(parsed) == [
+            f"document says '{new}' but its target and matrix give '{old}'"
+        ]
 
     @pytest.mark.parametrize("n, a, swaps", [
         (10, 20, ((2, 3), (4, 5))),  # rows 3<->4 and 5<->6
@@ -555,25 +566,30 @@ class TestCertificateSerialization:
         # An even permutation of rows 2..n keeps the determinant and the
         # orthogonality, so only the tie to the construction rows sees it.
         cert = construct_matrix(n, a, 3)
-        rows = list(cert.matrix.rows)
-        for i, j in swaps:
-            rows[i], rows[j] = rows[j], rows[i]
-        permuted = rebuilt(cert, matrix=IntMatrix(rows))
+
+        def permute(lines):
+            rows = lines[FIRST_ROW_LINE:FIRST_ROW_LINE + n]
+            for i, j in swaps:
+                rows[i], rows[j] = rows[j], rows[i]
+            lines[FIRST_ROW_LINE:FIRST_ROW_LINE + n] = rows
+
+        permuted = tampered(cert, permute)
         assert det_exact(permuted.matrix) == a
         assert verify_certificate(permuted) == [
             f"rows 2..n are not the construction rows for n={n}, k=3"
         ]
 
-    def test_verify_rejects_repeated_subset_index(self):
-        cert = construct_matrix(10, 20, 3)
-        doubled = rebuilt(cert, subset=cert.subset[:1] + cert.subset)
-        assert any("strictly increasing" in p for p in verify_certificate(doubled))
+    @pytest.mark.parametrize("line", ["subset 5 5 6", "subset 5 6 6", "subset 6 5"])
+    def test_verify_rejects_repeated_or_unsorted_subset(self, line):
+        parsed = tampered(construct_matrix(10, 20, 3), with_line("subset 5 6", line))
+        assert verify_certificate(parsed) == [
+            f"document says '{line}' but its target and matrix give 'subset 5 6'"
+        ]
 
-    def test_verify_rejects_unsorted_subset(self):
-        cert = construct_matrix(10, 20, 3)
-        assert len(cert.subset) >= 2
-        unsorted = rebuilt(cert, subset=tuple(reversed(cert.subset)))
-        assert any("strictly increasing" in p for p in verify_certificate(unsorted))
+    def test_claims_are_compared_as_spaced_tokens(self):
+        # Spacing inside a line is not a claim; the parsed values are.
+        parsed = tampered(construct_matrix(10, 20, 3), with_line("subset 5 6", "subset  5   6"))
+        assert verify_certificate(parsed) == []
 
     def test_from_text_rejects_sign_swap_other_than_0_or_1(self):
         text = construct_matrix(10, -20, 3).to_text()

@@ -1,7 +1,10 @@
 """Exact linear algebra: determinants, cofactors, dot products."""
 
+import functools
 import itertools
+import math
 import random
+from operator import getitem
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,17 +25,20 @@ from bindet import exact
 from bindet.cli import main
 
 
-def det_permsum(rows):
-    """Independent oracle: determinant as the signed permutation sum."""
-    n = len(rows)
-    total = 0
+@functools.lru_cache(maxsize=None)
+def signed_permutations(n):
+    """Each permutation of range(n) with its sign, -1 for an odd inversion count."""
+    signed = []
     for perm in itertools.permutations(range(n)):
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = 1
-        for i in range(n):
-            term *= rows[i][perm[i]]
-        total += -term if inv % 2 else term
-    return total
+        signed.append((perm, -1 if inv % 2 else 1))
+    return tuple(signed)
+
+
+def det_permsum(rows):
+    """Independent oracle: determinant as the signed permutation sum."""
+    return sum(sign * math.prod(map(getitem, rows, perm))
+               for perm, sign in signed_permutations(len(rows)))
 
 
 class TestIntMatrix:

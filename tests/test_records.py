@@ -15,6 +15,7 @@ from bindet import (
     bound_table,
     construct_matrix,
     spectrum_exhaustive,
+    verify_certificate,
     verify_construction,
 )
 from bindet.oracle import CheckResult
@@ -28,9 +29,8 @@ RECORDS = {
     "ConstructionParams": (ConstructionParams, ("n", "k"), (10, 3)),
     "ConstructionCertificate": (
         ConstructionCertificate,
-        ("params", "target", "subset", "sign_swap_applied", "matrix", "certified_det"),
-        (CERT.params, CERT.target, CERT.subset, CERT.sign_swap_applied, CERT.matrix,
-         CERT.certified_det),
+        ("params", "target", "matrix"),
+        (CERT.params, CERT.target, CERT.matrix),
     ),
     "BoundTable": (
         BoundTable,
@@ -110,7 +110,7 @@ def test_equality_and_hash_by_value(name):
 @pytest.mark.parametrize("name, field, other", [
     ("IntMatrix", "rows", ((1, 0), (2, 4))),
     ("ConstructionParams", "k", 4),
-    ("ConstructionCertificate", "sign_swap_applied", False),
+    ("ConstructionCertificate", "target", 20),
     ("BoundTable", "best_k", 3),
     ("CheckResult", "detail", ""),
     ("ConstructionCheckReport", "targets_swept", 0),
@@ -181,3 +181,22 @@ def test_carried_text_is_not_a_field():
     assert built._text is not None and direct._text is None
     assert built == direct and hash(built) == hash(direct) and repr(built) == repr(direct)
     assert built.to_text() == direct.to_text()
+
+
+def test_certificate_claims_are_not_a_field():
+    # A parsed document's own subset, sign_swap and det lines are kept for
+    # verify, but the record is its params, target and matrix alone.
+    text = CERT.to_text()
+    for old, new in (("subset 5 6", "subset 6 5"), ("sign_swap 1", "sign_swap 0"),
+                     ("det -20", "det 7")):
+        assert old in text
+        parsed = ConstructionCertificate.from_text(text.replace(old, new))
+        assert parsed._claims != ConstructionCertificate.from_text(text)._claims
+        assert parsed == CERT and hash(parsed) == hash(CERT) and repr(parsed) == repr(CERT)
+        assert parsed.to_text() == text
+        for rec in (copy.copy(parsed), pickle.loads(pickle.dumps(parsed))):
+            assert rec == CERT and not hasattr(rec, "_claims")
+            assert verify_certificate(rec) == []
+    assert ConstructionCertificate._fields == ("params", "target", "matrix")
+    assert not hasattr(CERT, "_claims")
+    assert CERT.subset == (4, 5) and CERT.sign_swap_applied
