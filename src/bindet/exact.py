@@ -6,7 +6,13 @@ the input matrix, so all interior divisions are exact and no rational
 arithmetic is needed.  ``det_exact`` eliminates the square matrix itself.
 ``cofactor_vector`` eliminates its n-1 rows alone and recovers the cofactors
 by Cramer back substitution: their kernel vector, scaled so that its free
-entry is the maximal minor on the pivot columns, is integral.
+entry is the maximal minor on the pivot columns, is integral.  Columns
+are swept from the last to the first; undoing that reversal of n columns
+is the sign (-1)^(n(n-1)/2).  The construction's rows are B_i = S_i +
+B_{i+k}, with S lower-triangular and a +-1 diagonal, so row i minus row
+i+k is the seed row S_i, whose last nonzero entry is its diagonal: swept
+from the last column they eliminate with +-1 pivots and entries in
+{-1, 0, 1}, and from the first they fill in and divide by growing pivots.
 
 Rows are lists of Python ints end to end, with no numpy, so results are
 exact at any magnitude and importing this module stays cheap.  A row that
@@ -142,14 +148,16 @@ def _reduce_row(row: list[int], row_sum: int, top: list[int], top_sum: int,
 
 
 def _eliminate(rows: Sequence[Sequence[int]]):
-    """Fraction-free elimination of m rows of width n >= m.
+    """Fraction-free elimination of m rows of width n >= m, last column first.
 
-    Per column, one pass lists the rows not yet used as pivots that are
-    nonzero there: the first is the pivot and the rest are updated; a column
-    without one is skipped.  Each row's entry sum is carried beside it for
-    _reduce_row's check.  Returns the sign of the row swaps, the m pivot
-    columns and the reduced rows as lists of ints, whose row t is the
-    Bareiss pivot row of step t; or None when the rank is below m.
+    Rows are read reversed: swept column c is column n-1-c, and the result
+    is in swept coordinates.  Per column, one pass lists the rows not yet
+    used as pivots that are nonzero there: the first is the pivot and the
+    rest are updated; a column without one is skipped.  Each row's entry
+    sum is carried beside it for _reduce_row's check.  Returns the sign of
+    the row swaps, the m pivot columns and the reduced rows as lists of
+    ints, whose row t is the Bareiss pivot row of step t; or None when the
+    rank is below m.
 
     A Bareiss step multiplies a row that is zero in the pivot column by
     piv / prev, so over a run of such steps the factors telescope.  Such a
@@ -158,7 +166,7 @@ def _eliminate(rows: Sequence[Sequence[int]]):
     next meets a nonzero f, the step (true row * piv - true f * top) / prev
     reduces to (row * piv - f * top) / div.
     """
-    a = [list(map(index, row)) for row in rows]
+    a = [list(map(index, reversed(row))) for row in rows]
     sums = list(map(sum, a))
     m = len(a)
     width = len(a[0]) if a else 0
@@ -166,8 +174,8 @@ def _eliminate(rows: Sequence[Sequence[int]]):
     sign = 1
     prev = 1
     pivots: list[int] = []
-    # Columns left of both the first skipped column (lo) and the current one
-    # are pivot columns, zero in every row below the pivot.
+    # Swept columns before both the first skipped one (lo) and the current
+    # one are pivot columns, zero in every row below the pivot.
     lo = width
     for c in range(width):
         t = len(pivots)
@@ -216,7 +224,8 @@ def det_exact(m: "IntMatrix | Sequence[Sequence[int]]") -> int:
     if reduced is None:
         return 0
     sign, _, a = reduced
-    return sign * a[-1][-1]
+    # Undo the reversal of the n swept columns.
+    return (-sign if n % 4 > 1 else sign) * a[-1][-1]
 
 
 def dot(u: Sequence[int], w: Sequence[int]) -> int:
@@ -246,10 +255,10 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     if reduced is None:
         return (0,) * n
     sign, pivots, a = reduced
-    # The reduced rows are echelon in the pivot columns; the one non-pivot
-    # column j0 is zero in every row whose pivot lies right of it.  Fixing
-    # x[j0] to the last pivot, the maximal minor on the pivot columns, makes
-    # the kernel vector integral (Cramer), so each pivot divides exactly.
+    # In swept coordinates the reduced rows are echelon in the pivot columns,
+    # and the one non-pivot column j0 is zero in every row pivoted after it.
+    # Fixing x[j0] to the last pivot, the maximal minor on the pivot columns,
+    # makes the kernel vector integral (Cramer): each pivot divides exactly.
     j0 = next(c for c in range(n) if c not in pivots)
     x = [0] * n
     x[j0] = a[-1][pivots[-1]] if m else 1
@@ -259,10 +268,11 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         if r:
             raise InternalInvariantError("back substitution left a nonzero remainder")
         x[p] = q
-    # The last pivot is sign * det(rows[:, pivots]), and C[j0] is
-    # (-1)^j0 * det(rows[:, pivots]); C is the kernel vector with that entry.
-    s = -sign if j0 % 2 else sign
-    return tuple(s * v for v in x)
+    # The last pivot is sign * det(swept rows[:, pivots]), and the swept
+    # cofactor C'[j0] is (-1)^j0 times that minor, so C' is the kernel
+    # vector with that entry; C is C' reversed, times the reversal's sign.
+    s = -sign if (j0 % 2) ^ (n % 4 > 1) else sign
+    return tuple(s * v for v in reversed(x))
 
 
 def is_orthogonal_to_all(v: Sequence[int], rows: Iterable[Sequence[int]]) -> bool:

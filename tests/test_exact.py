@@ -23,6 +23,7 @@ from bindet import (
 )
 from bindet import exact
 from bindet.cli import main
+from bindet.construction import _lower_rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -323,33 +324,40 @@ def test_row_reduction_raises_iff_a_remainder_is_left(pairs, piv, f, d, scale):
         assert exact._reduce_row(row, sum(row), top, sum(top), piv, f, d) == (quo, sum(quo))
 
 
-# The (19, 4) construction rows divide by Bareiss pivots other than 1.
-FAMILY_19_4 = binary_rows(19, 4)[1:]
+# The (19, 4) construction rows, each mirrored: swept from the last column,
+# they eliminate step for step as the rows themselves would from the first,
+# dividing by Bareiss pivots other than 1.  The rows themselves divide by
+# +-1 only (test_construction_rows_eliminate_with_unit_pivots).
+MIRRORED_19_4 = tuple(row[::-1] for row in binary_rows(19, 4)[1:])
 
 
 def _wrap_reduce_row(monkeypatch, corrupt):
-    """Record each _reduce_row divisor; with corrupt, the first returned row sum is off by one."""
-    reduce_row, divisors = exact._reduce_row, []
+    """(list of _reduce_row divisors, set of entries it returned), filled as it runs.
+
+    With corrupt, the first returned row sum is off by one.
+    """
+    reduce_row, divisors, entries = exact._reduce_row, [], set()
 
     def wrapped(*args):
         quo, quo_sum = reduce_row(*args)
         divisors.append(args[-1])
+        entries.update(quo)
         return quo, quo_sum + (corrupt and len(divisors) == 1)
 
     monkeypatch.setattr(exact, "_reduce_row", wrapped)
-    return divisors
+    return divisors, entries
 
 
 def test_the_family_divides_by_pivots_other_than_one(monkeypatch):
-    divisors = _wrap_reduce_row(monkeypatch, corrupt=False)
-    cofactor_vector(FAMILY_19_4)
+    divisors, _ = _wrap_reduce_row(monkeypatch, corrupt=False)
+    cofactor_vector(MIRRORED_19_4)
     # The corrupted sum below comes from a division by 1, which is unchecked.
     assert divisors[0] == 1 and set(divisors) - {1}
 
 
 @pytest.mark.parametrize("compute", [
-    lambda: det_exact([(1,) * 19, *FAMILY_19_4]),
-    lambda: cofactor_vector(FAMILY_19_4),
+    lambda: det_exact([(1,) * 19, *MIRRORED_19_4]),
+    lambda: cofactor_vector(MIRRORED_19_4),
 ], ids=["det_exact", "cofactor_vector"])
 def test_a_corrupted_carried_sum_is_an_invariant_failure(monkeypatch, compute):
     _wrap_reduce_row(monkeypatch, corrupt=True)
@@ -359,12 +367,27 @@ def test_a_corrupted_carried_sum_is_an_invariant_failure(monkeypatch, compute):
 
 def test_a_corrupted_carried_sum_exits_3(monkeypatch, capsys, tmp_path):
     rows = tmp_path / "rows.txt"
-    rows.write_text("18\n" + "".join(" ".join(map(str, r)) + "\n" for r in FAMILY_19_4))
+    rows.write_text("18\n" + "".join(" ".join(map(str, r)) + "\n" for r in MIRRORED_19_4))
     _wrap_reduce_row(monkeypatch, corrupt=True)
     assert main(["spectrum", "--rows", str(rows)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.startswith("internal invariant failure:")
+
+
+def test_construction_rows_eliminate_with_unit_pivots(monkeypatch):
+    # Row i minus row i+k of a construction is the seed row S_i, whose last
+    # nonzero entry is its +-1 diagonal.  Swept from the last column, that
+    # keeps every divisor +-1 and every entry in {-1, 0, 1}; swept from the
+    # first, it would not (MIRRORED_19_4 above).
+    divisors, entries = _wrap_reduce_row(monkeypatch, corrupt=False)
+    for n in range(4, 41):
+        unit = (1,) + (0,) * (n - 1)
+        for k in range(2, n // 2 + 1):
+            for rows in _lower_rows(n, k):
+                cofactor_vector(rows)
+                det_exact([unit, *rows])
+    assert divisors and set(divisors) <= {1, -1} and entries <= {-1, 0, 1}
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,6 +435,34 @@ def test_cofactors_at_each_non_pivot_position(rows):
 def test_rank_deficient_rows_give_zero_cofactors(rows):
     assert cofactor_vector(rows) == (0,) * (len(rows) + 1)
     assert cofactors_permsum(rows) == (0,) * (len(rows) + 1)
+
+
+def low_rank_rows(rng, n, rank):
+    """n random integer rows of length n and rank at most rank: a product n x rank by rank x n."""
+    left = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(n)]
+    right = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rank)]
+    return [tuple(sum(l * r[j] for l, r in zip(row, right)) for j in range(n)) for row in left]
+
+
+def reversal_sign_cases():
+    """pytest params of n x n rows, n in 1..7, in the shapes the hypothesis tests may not reach."""
+    for n in range(1, 8):
+        rng = random.Random(n)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        if n not in range(2, 6):  # square_int_matrix draws n = 2..5
+            yield pytest.param(rows, id=f"{n}-random")
+        yield pytest.param([(0, *row[1:]) for row in rows], id=f"{n}-zero first column")
+        yield pytest.param([(*row[:-1], 0) for row in rows], id=f"{n}-zero last column")
+        for rank in range(max(n - 2, 0), n):
+            yield pytest.param(low_rank_rows(rng, n, rank), id=f"{n}-rank {rank}")
+
+
+@pytest.mark.parametrize("rows", reversal_sign_cases())
+def test_reversal_sign_in_every_residue_of_n_mod_4(rows):
+    # Undoing the sweep's reversal of n columns negates exactly when n % 4
+    # is 2 or 3; cofactor_vector sweeps n columns of n-1 rows.
+    assert det_exact(rows) == det_permsum(rows)
+    assert cofactor_vector(rows[1:]) == cofactors_permsum(rows[1:])
 
 
 @settings(max_examples=150, deadline=None)
