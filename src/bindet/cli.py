@@ -64,27 +64,23 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     text = Path(args.path).read_text()
-    if text.lstrip().startswith(_CERT_HEADER):
-        try:
-            cert = ConstructionCertificate.from_text(text)
-        except ValueError as exc:
-            print(f"malformed certificate: {exc}", file=sys.stderr)
-            return 1
-        problems = verify_certificate(cert)
-        if problems:
-            for p in problems:
-                print(f"mismatch: {p}", file=sys.stderr)
-            return 1
-        det = cert.target
-        summary = f"certificate ok: n={cert.params.n} k={cert.params.k} det={det}"
+    kind = "certificate" if text.partition("\n")[0] == _CERT_HEADER else "matrix"
+    try:
+        doc = (ConstructionCertificate if kind == "certificate" else IntMatrix).from_text(text)
+    except ValueError as exc:
+        print(f"malformed {kind}: {exc}", file=sys.stderr)
+        return 1
+    if kind == "matrix":
+        det = det_exact(doc)
+        summary = f"matrix is {doc.n}x{doc.n}, det = {det}"
     else:
-        try:
-            matrix = IntMatrix.from_text(text)
-        except ValueError as exc:
-            print(f"malformed matrix: {exc}", file=sys.stderr)
+        problems = verify_certificate(doc)
+        for p in problems:
+            print(f"mismatch: {p}", file=sys.stderr)
+        if problems:
             return 1
-        det = det_exact(matrix)
-        summary = f"matrix is {matrix.n}x{matrix.n}, det = {det}"
+        det = doc.target
+        summary = f"certificate ok: n={doc.params.n} k={doc.params.k} det={det}"
     if args.format == "pretty":
         print(summary)
     else:

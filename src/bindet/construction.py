@@ -40,7 +40,7 @@ from typing import Sequence
 
 from ._record import Record, _set
 from .errors import InternalInvariantError, TargetOutOfRangeError
-from .exact import IntMatrix, det_exact, is_orthogonal_to_all
+from .exact import IntMatrix, _read_ints, det_exact, is_orthogonal_to_all, parse_rows
 from .fibk import best_k, check_admissible, fib_prefix
 
 _CERT_HEADER = "certificate"
@@ -231,46 +231,40 @@ class ConstructionCertificate(Record):
     def from_text(cls, text: str) -> "ConstructionCertificate":
         """Parse the document to_text writes; anything else raises ValueError.
 
-        Unknown or repeated fields and integers not written in canonical
-        decimal (no sign on positives, no leading zeros) are rejected.  The
-        subset, sign_swap and det lines go to _claims, single-spaced.
+        Lines are read by the rule of the exact module, each field once, and
+        the matrix section by parse_rows, as a matrix file.  The subset,
+        sign_swap and det lines go to _claims.
         """
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != _CERT_HEADER:
+        lines = text.split("\n", 8)  # unless the loop fails, 7 is "matrix" and 8 the rest
+        if lines[0] != _CERT_HEADER:
             raise ValueError("not a certificate document")
-        fields: dict[str, str] = {}
-        idx = 1
-        while idx < len(lines) and lines[idx] != "matrix":
-            key, _, value = lines[idx].partition(" ")
+        fields: dict[str, tuple[str, tuple[int, ...] | None]] = {}
+        for line in lines[1:-1]:
+            if line == "matrix":
+                break
+            key, sep, value = line.partition(" ")
             if key not in _CERT_FIELDS:
                 raise ValueError(f"certificate has an unknown field {key!r}")
             if key in fields:
                 raise ValueError(f"certificate repeats field {key!r}")
-            fields[key] = value
-            idx += 1
-        if idx == len(lines):
+            fields[key] = line, _read_ints(value) if sep else ()
+        else:
             raise ValueError("certificate has no matrix section")
-        if lines[-1] != "end":
-            raise ValueError("certificate is not terminated with 'end'")
         for key in _CERT_FIELDS:
             if key not in fields:
                 raise ValueError(f"certificate is missing field {key!r}")
-        matrix_lines = lines[idx + 1:-1]
-        tokens = {tok for ln in matrix_lines for tok in ln.split()}
-        tokens.update(tok for value in fields.values() for tok in value.split())
-        if not all(_is_canonical_int(tok) for tok in tokens):
-            raise ValueError("certificate has a malformed field value")
-        matrix = IntMatrix.from_text("\n".join(matrix_lines))
+        if not lines[8].endswith("end\n"):
+            raise ValueError("certificate is not terminated with 'end'")
         try:
-            # det is only checked to be one integer; verify compares its line.
-            n, k, target, _ = (int(fields[key]) for key in ("n", "k", "target", "det"))
-            if fields["sign_swap"] not in ("0", "1"):
+            # None, or a count of ints other than the field's, fails to unpack.
+            (n,), (k,), (target,), subset, (swap,), (_,) = (fields[f][1] for f in _CERT_FIELDS)
+            if subset is None or swap not in (0, 1):
                 raise ValueError
-        except ValueError:
+        except (TypeError, ValueError):
             raise ValueError("certificate has a malformed field value") from None
+        matrix = IntMatrix._of_checked_rows(parse_rows(lines[8][:-4]), None)  # keeps no text
         cert = cls(ConstructionParams(n, k), target, matrix)
-        claims = (" ".join([key, *fields[key].split()]) for key in _CLAIMED_FIELDS)
-        _set(cert, "_claims", tuple(claims))
+        _set(cert, "_claims", tuple(fields[key][0] for key in _CLAIMED_FIELDS))
         return cert
 
 
@@ -278,14 +272,6 @@ class ConstructionCertificate(Record):
 def _subset_labels(n: int) -> tuple[str, ...]:
     """The fields " 1", ..., " n" of a subset line, by 0-based index."""
     return tuple(f" {i}" for i in range(1, n + 1))
-
-
-def _is_canonical_int(tok: str) -> bool:
-    """True when tok is an integer written exactly as str(int) writes it."""
-    try:
-        return str(int(tok)) == tok
-    except ValueError:
-        return False
 
 
 def _lower_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -33,10 +33,15 @@ lower rows of each (n, k) once and builds only the 0/1 top row per target.
 ``subset_sums`` is the Python-int subset-sum bitset of both spectrum
 oracles: one mask over a complete prefix of weights, as the k-step
 Fibonacci weights are, then one shift-or per weight.
+
+One rule reads matrix, rows and certificate text: a line is read only as
+the writer writes its values, so it ends in "\\n" (the last line too) and
+holds ASCII decimal entries as ``str(int)`` writes them, single-spaced.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -62,11 +67,11 @@ class IntMatrix(Record):
         _set(self, "_text", None)
 
     @classmethod
-    def _of_checked_rows(cls, rows: tuple[tuple[int, ...], ...], text: str) -> "IntMatrix":
+    def _of_checked_rows(cls, rows: tuple[tuple[int, ...], ...], text: str | None) -> "IntMatrix":
         """A matrix on rows the caller has already certified as n tuples of n ints.
 
-        Checks nothing.  text must be exactly what to_text would format from
-        the rows; it is returned by to_text as it is.
+        Checks nothing.  text must be None or exactly what to_text would
+        format from the rows, which to_text then returns as it is.
         """
         m = object.__new__(cls)
         _set(m, "rows", rows)
@@ -93,32 +98,44 @@ class IntMatrix(Record):
 
     @classmethod
     def from_text(cls, text: str) -> "IntMatrix":
-        return cls(parse_rows(text))
+        """Read the matrix text format, keeping text as to_text's; else ValueError."""
+        return cls._of_checked_rows(parse_rows(text), text)
+
+
+_INTS = re.compile(r"(?:0|-?[1-9][0-9]*)(?: (?:0|-?[1-9][0-9]*))*")
+
+
+def _read_ints(line: str) -> tuple[int, ...] | None:
+    """The ints that " ".join(map(str, ints)) writes as line, or None if there are none."""
+    try:
+        return tuple(map(int, line.split(" "))) if _INTS.fullmatch(line) else None
+    except ValueError:  # past int()'s digit limit
+        return None
 
 
 def parse_rows(text: str, extra: int = 0) -> tuple[tuple[int, ...], ...]:
     """Rows of the shared text format: a count m, then m lines of m + extra integers.
 
     Matrix files use extra = 0 and rows files, the n-1 rows below a free top
-    row, extra = 1.  Blank lines are ignored; anything else raises ValueError.
+    row, extra = 1.  Text not written so by the module's one rule raises
+    ValueError.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("text is empty")
-    try:
-        m = int(lines[0])
-    except ValueError:
-        raise ValueError(f"text must start with the row count, got {lines[0]!r}") from None
+    if text[-1:] != "\n":
+        raise ValueError("text does not end with a newline" if text else "text is empty")
+    lines = text.split("\n")[:-1]
+    count = _read_ints(lines[0])
+    if count is None or len(count) != 1:
+        raise ValueError(f"text must start with the row count, got {lines[0]!r}")
+    m = count[0]
     if m < 1:
         raise ValueError(f"row count must be positive, got {m}")
     if len(lines) != m + 1:
         raise ValueError(f"expected {m} rows, found {len(lines) - 1}")
     rows = []
-    for ln in lines[1:]:
-        try:
-            row = tuple(int(tok) for tok in ln.split())
-        except ValueError:
-            raise ValueError(f"non-integer entry in row {ln!r}") from None
+    for line in lines[1:]:
+        row = _read_ints(line)
+        if row is None:
+            raise ValueError(f"non-integer entry in row {line!r}")
         if len(row) != m + extra:
             raise ValueError(f"expected {m + extra} entries per row, found {len(row)}")
         rows.append(row)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bindet
-from bindet import fib_prefix
+from bindet import construct_matrix, fib_prefix
 from bindet.cli import main
 
 # The alpha line of `bound --n 2k --k k --format structured` for k = 2..125,
@@ -33,6 +33,57 @@ def run_process(*args, timeout=60):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           timeout=timeout, env=env)
+
+
+# Genuine documents, each with a last row that starts with 0 and ends with 1.
+GENUINE = {
+    "certificate": ("verify", construct_matrix(5, 2, 2).to_text(), "malformed certificate: "),
+    "matrix": ("verify", "2\n2 -1\n0 1\n", "malformed matrix: "),
+    "rows": ("spectrum", "2\n0 1 0\n0 0 1\n", "malformed rows file: "),
+}
+NON_INTEGER = "non-integer entry in row"
+# Each defect rewrites the last row of a genuine document.
+ROW_DEFECTS = {
+    "nbsp": (lambda row: row.replace(" ", "\u00a0", 1), NON_INTEGER),
+    "line-separator": (lambda row: row + "\u2028", NON_INTEGER),
+    "arabic-indic-digit": (lambda row: row[:-1] + "\u0661", NON_INTEGER),
+    "underscore": (lambda row: row + "_0", NON_INTEGER),
+    "plus": (lambda row: row[:-1] + "+1", NON_INTEGER),
+    "leading-zero": (lambda row: row[:-1] + "01", NON_INTEGER),
+    "minus-zero": (lambda row: "-" + row, NON_INTEGER),
+    "unit-separator": (lambda row: row.replace(" ", "\x1f", 1), NON_INTEGER),
+    "tab": (lambda row: row.replace(" ", "\t", 1), NON_INTEGER),
+    "trailing-space": (lambda row: row + " ", NON_INTEGER),
+    "blank-line": (lambda row: row + "\n", "expected {m} rows, found {m1}"),
+}
+TEXT_DEFECTS = {
+    "no-final-newline": (lambda text: text[:-1], "text does not end with a newline"),
+    "bom": (lambda text: "\ufeff" + text, "text must start with the row count"),
+}
+# A certificate's last line is its terminator, and a BOM hides its header, so
+# that the file is read as a matrix.
+CERTIFICATE_TEXT_DEFECTS = {
+    "no-final-newline": "malformed certificate: certificate is not terminated with 'end'",
+    "bom": "malformed matrix: text must start with the row count",
+}
+
+
+def _miswritten():
+    for kind, (command, text, prefix) in GENUINE.items():
+        lines = text.split("\n")[:-1]
+        last = len(lines) - (2 if kind == "certificate" else 1)  # before "end"
+        m = int(lines[lines.index("matrix") + 1] if kind == "certificate" else lines[0])
+        for name, (edit, message) in ROW_DEFECTS.items():
+            edited = [*lines[:last], edit(lines[last]), *lines[last + 1:]]
+            message = message.format(m=m, m1=m + 1)
+            yield f"{kind}-{name}", (command, "\n".join(edited) + "\n", prefix + message)
+        for name, (edit, message) in TEXT_DEFECTS.items():
+            if kind == "certificate":
+                prefix, message = "", CERTIFICATE_TEXT_DEFECTS[name]
+            yield f"{kind}-{name}", (command, edit(text), prefix + message)
+
+
+MISWRITTEN = list(_miswritten())
 
 
 class TestConstruct:
@@ -163,6 +214,9 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), "--format", "structured")
         assert code == 0
         assert "det -4" in out
+        # Reading the file in text mode turns CRLF line ends into "\n".
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert run(capsys, "verify", str(path), "--format", "structured") == (0, out, "")
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "junk.txt"
@@ -327,10 +381,12 @@ class TestSpectrum:
         ("verify", "2\n0 x\n1 0\n", "malformed matrix: non-integer"),
         ("verify", "2\n0 1\n", "malformed matrix: expected 2 rows"),
         ("verify", "2\n0 1 1\n1 0\n", "malformed matrix: expected 2 entries"),
+        *(case for _, case in MISWRITTEN),
     ], ids=["rows-token", "rows-count", "rows-width",
-            "matrix-token", "matrix-count", "matrix-width"])
+            "matrix-token", "matrix-count", "matrix-width", *(i for i, _ in MISWRITTEN)])
     def test_malformed_rows_and_matrix_files(self, capsys, tmp_path, command, text, prefix):
-        # Rows files and matrix files share one reader; both report the defect.
+        # Rows files, matrix files and certificates share one reader; each
+        # reports the defect.
         path = tmp_path / "rows.txt"
         path.write_text(text)
         argv = ("--rows", str(path)) if command == "spectrum" else (str(path),)

@@ -586,10 +586,10 @@ class TestCertificateSerialization:
             f"document says '{line}' but its target and matrix give 'subset 5 6'"
         ]
 
-    def test_claims_are_compared_as_spaced_tokens(self):
-        # Spacing inside a line is not a claim; the parsed values are.
-        parsed = tampered(construct_matrix(10, 20, 3), with_line("subset 5 6", "subset  5   6"))
-        assert verify_certificate(parsed) == []
+    def test_claims_must_be_single_spaced(self):
+        # A line is read only as to_text writes it, so extra spaces are malformed.
+        with pytest.raises(ValueError, match="malformed field value"):
+            tampered(construct_matrix(10, 20, 3), with_line("subset 5 6", "subset  5   6"))
 
     def test_from_text_rejects_sign_swap_other_than_0_or_1(self):
         text = construct_matrix(10, -20, 3).to_text()
@@ -606,8 +606,8 @@ class TestCertificateSerialization:
         ("det 20\n", "det 2_0\n", "malformed"),
         ("n 10\n", "n +10\n", "malformed"),
         ("subset ", "subset 0", "malformed"),
-        ("matrix\n10\n", "matrix\n010\n", "malformed"),
-        ("matrix\n10\n0", "matrix\n10\n-0", "malformed"),
+        ("matrix\n10\n", "matrix\n010\n", "must start with the row count"),
+        ("matrix\n10\n0", "matrix\n10\n-0", "non-integer entry in row"),
         ("k 2\n", "", "missing field 'k'"),
     ])
     def test_from_text_rejects_non_canonical_documents(self, old, new, match):

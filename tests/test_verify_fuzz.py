@@ -1,11 +1,17 @@
-"""Fuzz of `bindet verify`: one edit of a genuine certificate must exit 1.
+"""Fuzz of the document readers: one edit of a genuine document must exit 1.
 
-Each example builds a certificate at n <= 16, makes one edit to its
+The first test builds a certificate at n <= 16, makes one edit to its
 document, and runs ``main(["verify", path])``.  The edits change a field's
 value; toggle, duplicate or reorder subset members; flip a matrix bit;
 delete or duplicate a line; truncate the document; or insert a NUL or a
 non-ASCII byte.  Every edited document must exit 1 with nothing on stdout
 and no traceback.
+
+The second test takes a genuine certificate, matrix file or rows file and
+misspells it: it inserts one non-ASCII character, ASCII control character,
+underscore, sign, leading zero, doubled space or blank line.  Edits that
+leave every line as the writers spell it are dropped; the genuine document
+must exit 0 and every edited one exit 1.
 """
 
 import contextlib
@@ -24,8 +30,16 @@ SUBSET_LINE = 4  # certificate, n, k, target, subset, sign_swap, det, matrix, ..
 
 
 @pytest.fixture(scope="module")
-def cert_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "cert.txt"
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.txt"
+
+
+def run_main(argv):
+    """main(argv)'s exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @st.composite
@@ -98,12 +112,94 @@ def edited_document(draw):
 
 @settings(max_examples=250, deadline=None)
 @given(edited_document(), st.sampled_from(("pretty", "structured")))
-def test_every_edited_certificate_exits_1(cert_path, case, fmt):
+def test_every_edited_certificate_exits_1(doc_path, case, fmt):
     kind, data = case
-    cert_path.write_bytes(data)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", str(cert_path), "--format", fmt])
+    doc_path.write_bytes(data)
+    code, out, err = run_main(["verify", str(doc_path), "--format", fmt])
     assert code == 1, (kind, data)
-    assert out.getvalue() == ""
-    assert "Traceback" not in err.getvalue() and err.getvalue().strip()
+    assert out == ""
+    assert "Traceback" not in err and err.strip()
+
+
+CERT_WORDS = {"certificate", "n", "k", "target", "subset", "sign_swap", "det", "matrix", "end"}
+
+
+def spelled_as_written(text):
+    """True when, after a text-mode read, every line is as the writers spell it.
+
+    That is: lines ended by "\\n", none blank, of tokens joined by single
+    spaces, each a certificate word or an integer as str(int) writes it.
+    """
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+    lines = text.split("\n")
+    return lines.pop() == "" and all(
+        line and all(tok in CERT_WORDS or (tok.isascii() and tok.removeprefix("-").isdigit()
+                                           and str(int(tok)) == tok)
+                     for tok in line.split(" "))
+        for line in lines)
+
+
+def _int_lines(rows):
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+@st.composite
+def genuine_document(draw):
+    """(argv before the path, text) of a certificate, matrix file or rows file."""
+    kind = draw(st.sampled_from(("certificate", "matrix", "rows")))
+    if kind == "certificate":
+        k = draw(st.integers(2, 4))
+        n = draw(st.integers(2 * k, 10))
+        bound = theorem_bound(n, k)
+        return ["verify"], construct_matrix(n, draw(st.integers(-bound, bound)), k).to_text()
+    if kind == "matrix":
+        m = draw(st.integers(1, 4))
+        entries = st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30))
+        rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m))
+        return ["verify"], f"{m}\n{_int_lines(rows)}"
+    # Entries up to 99 keep every family spectrum under its cell cap.
+    m = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-99, 99), min_size=m + 1, max_size=m + 1)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    return ["spectrum", "--no-values", "--rows"], f"{m}\n{_int_lines(rows)}"
+
+
+MISSPELLINGS = ("non_ascii", "control", "underscore", "sign", "leading_zero",
+                "doubled_space", "blank_line")
+
+
+@st.composite
+def misspelled(draw, text):
+    """text with one misspelling inserted, and its kind."""
+    kind = draw(st.sampled_from(MISSPELLINGS))
+    if kind == "leading_zero":  # at the start of a token
+        at = draw(st.sampled_from([0, *(i + 1 for i, c in enumerate(text[:-1]) if c in " \n")]))
+        return kind, text[:at] + "0" + text[at:]
+    if kind in ("doubled_space", "blank_line"):
+        sep = " " if kind == "doubled_space" else "\n"
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c == sep] or [0]))
+        return kind, text[:at] + sep + text[at:]
+    chars = {
+        "non_ascii": st.characters(min_codepoint=0x80, exclude_categories=("Cs",)),
+        "control": st.sampled_from([*map(chr, range(0x20)), "\x7f"]),
+        "underscore": st.just("_"),
+        "sign": st.sampled_from("+-"),
+    }[kind]
+    at = draw(st.integers(0, len(text)))
+    return kind, text[:at] + draw(chars) + text[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_misspelled_document_exits_1(doc_path, data):
+    argv, text = data.draw(genuine_document())
+    kind, edited = data.draw(misspelled(text))
+    assume(not spelled_as_written(edited))
+    doc_path.write_text(text)
+    code, _, err = run_main([*argv, str(doc_path), "--format", "structured"])
+    assert code == 0, (text, err)
+    doc_path.write_bytes(edited.encode())
+    code, out, err = run_main([*argv, str(doc_path), "--format", "structured"])
+    assert code == 1, (kind, edited)
+    assert out == ""
+    assert "Traceback" not in err and err.strip()
