@@ -4,22 +4,22 @@ The pipeline: a lower-triangular ternary seed matrix is built from two row
 templates ('recursive' rows that subtract a running k-window sum, and
 'finishing' rows that close the window near the bottom), then a unit
 upper-triangular 0/1 transform folds each row with its k-step successors,
-which provably lands every entry in {0, 1}.  An integer vector orthogonal
-to all rows but the first is computed by recurrence; its leading n-k
-entries are exactly the k-step Fibonacci numbers, which form a complete
-sequence, so a greedy scan picks a 0/1 top row whose determinant is any
-requested value up to the prefix sum.
+which provably lands every entry in {0, 1}.  The paper's claim is that the
+first-row cofactors of the binarized rows 2..n begin with the k-step
+Fibonacci numbers F_k(1..n-k), which form a complete sequence, so a greedy
+scan picks a 0/1 top row whose determinant is any requested value up to
+the prefix sum.  orthogonal_vector computes the same vector by recurrence.
 
 Certification is split between the (n, k) rows and the per-target top row.
-Once per (n, k), exact elimination checks det([e_1; R]) = 1 for the
-normalized rows R = rows 2..n, and exact dot products check that the vector
-v is orthogonal to every row of R.  Together these pin v to the first-row
-cofactor vector of R: the unit determinant makes R rank n-1, so its kernel
-is a line holding both v and the cofactors, and both have first entry 1.
-Hence det([t; R]) = v . t for every top row t, and each returned matrix is
+Once per (n, k), exact elimination (exact.cofactor_vector) computes the
+first-row cofactor vector v of the normalized rows R = rows 2..n, and v's
+first n-k entries are checked to be F_k(1..n-k): v is the exact cofactor
+vector of R, and its first n-k entries are F_k.  By Laplace expansion
+det([t; R]) = v . t for every top row t, so each returned matrix is
 certified by that exact dot product, summed over the entries of v that its
 built 0/1 top row selects (negated when the bottom two rows are swapped).
-Neither check trusts the greedy scan or the Fibonacci recurrence.  The same
+The check trusts neither the greedy scan nor the recurrence, which
+verify_certificate and oracle.verify_construction use instead.  The same
 per-(n, k) pass checks that R is n-1 rows of length n and the subset
 weights, and renders R as a head block plus its last two lines, which the
 sign swap exchanges.  A target pays for the greedy scan, the top row and
@@ -40,7 +40,9 @@ from typing import Sequence
 
 from ._record import Record, _set
 from .errors import InternalInvariantError, TargetOutOfRangeError
-from .exact import IntMatrix, _read_ints, det_exact, is_orthogonal_to_all, parse_rows
+from .exact import (
+    IntMatrix, _read_ints, cofactor_vector, det_exact, is_orthogonal_to_all, parse_rows,
+)
 from .fibk import best_k, check_admissible, fib_prefix
 
 _CERT_HEADER = "certificate"
@@ -278,9 +280,10 @@ def _lower_rows(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Rows 2..n of each matrix constructed at (n, k), without and with sign swap.
 
     binary_rows(n, k)[1:] with rows 2 and 3 exchanged when the closed form
-    (-1)^(n-k-1) of their unit-top-row determinant is -1, so that
-    det([e_1; R]) = 1 and subset sums come out with positive sign; the
-    second order has the bottom two rows exchanged as well.
+    (-1)^(n-k-1) of their unit-top-row determinant is -1, so that the
+    first-row cofactors of the first order begin with +F_k(1..n-k) and
+    subset sums come out with positive sign; the second order has the
+    bottom two rows exchanged as well, which negates every cofactor.
     """
     rows = binary_rows(n, k)[1:]
     if (n - k - 1) % 2:
@@ -293,33 +296,24 @@ def _normalized_rows(n: int, k: int):
     """All of a construction at (n, k) but the top row: checked and rendered once.
 
     Returns (params, lower, weights, v, bound, head, tails): the shared
-    ConstructionParams, lower from _lower_rows, the orthogonal vector v, its
-    subset weights v[:n-k] and their sum, and head + tails[s] as the text of
-    lower[s].  The rows are checked to be n-1 rows of length n, and their
-    determinant under a unit top row to be 1, confirming the closed form.
-    v is checked to be orthogonal to the rows, which with the unit
-    determinant and v[0] = 1 makes v their first-row cofactor vector
-    (module docstring).  The weights are checked once here, so per target
-    only the scan runs.
+    ConstructionParams, lower from _lower_rows, the first-row cofactor
+    vector v of lower[0], its subset weights v[:n-k] and their sum, and
+    head + tails[s] as the text of lower[s].  The rows are checked to be
+    n-1 rows of length n, and v, from exact elimination, to begin with
+    F_k(1..n-k): v is the exact cofactor vector of the rows, and its first
+    n-k entries are F_k (module docstring).  The weights are checked once
+    here, so per target only the scan runs.
     """
     params = ConstructionParams(n, k)
     lower = _lower_rows(n, k)
     rows = lower[0]
     if len(rows) != n - 1 or any(len(row) != n for row in rows):
         raise InternalInvariantError(f"rows 2..n are not n-1 rows of length n for n={n}, k={k}")
-    v = orthogonal_vector(n, k)
+    v = cofactor_vector(rows)
     weights = v[:n - k]
     if list(weights) != fib_prefix(k, n - k):
-        raise InternalInvariantError("orthogonal vector prefix is not the k-step sequence")
-    d = det_exact([(1,) + (0,) * (n - 1), *rows])
-    if d != 1:
         raise InternalInvariantError(
-            f"unit-top-row determinant {d} contradicts the closed form for n={n}, k={k}"
-        )
-    if v[0] != 1 or not is_orthogonal_to_all(v, rows):
-        raise InternalInvariantError(
-            f"orthogonal vector fails v[0] = 1 or orthogonality to rows 2..n "
-            f"for n={n}, k={k}"
+            f"cofactors of rows 2..n do not begin with the k-step sequence for n={n}, k={k}"
         )
     try:
         bound = _complete_sum(weights)
@@ -337,9 +331,10 @@ def construct_matrix(n: int, target: int, k: int | None = None) -> ConstructionC
     value up to theorem_bound(n, k).  Negative targets are realized by
     building the positive matrix and swapping its bottom two rows, which
     negates the determinant and keeps every entry 0/1.  The determinant is
-    certified as the exact dot product of the top row with the cofactor
-    vector certified once per (n, k) (module docstring), negated under the
-    row swap; a mismatch with the target is an internal error.
+    certified as the exact dot product of the top row with the first-row
+    cofactor vector of rows 2..n, computed by exact elimination and checked
+    to begin with F_k(1..n-k) once per (n, k) (module docstring), negated
+    under the row swap; a mismatch with the target is an internal error.
     verify_certificate recomputes the full determinant instead.
     """
     if k is None:

@@ -83,7 +83,7 @@ class IntMatrix(Record):
         return len(self.rows)
 
     def is_binary(self) -> bool:
-        return all(x in (0, 1) for row in self.rows for x in row)
+        return set().union(*self.rows) <= {0, 1}
 
     def to_text(self) -> str:
         """Serialize to the shared matrix text format.

@@ -289,37 +289,71 @@ class TestConstructMatrix:
         for a in range(-bound, bound + 1):
             assert det_exact(construct_matrix(8, a, 2).matrix) == a
 
-    def test_corrupted_vector_is_never_certified(self, monkeypatch):
-        # Only the per-(n, k) orthogonality check stands between a wrong
-        # vector and a dot-product certificate that trusts it.
-        real_v, real_fib = construction.orthogonal_vector, construction.fib_prefix
+    @pytest.mark.parametrize("corrupt", ["cofactor weight", "fib term", "dependent rows"])
+    def test_corrupted_vector_is_never_certified(self, monkeypatch, capsys, corrupt):
+        # Once per (n, k), the cofactors of rows 2..n from exact elimination
+        # must begin with F_k(1..n-k).  A wrong weight on either side of that
+        # comparison, or rows whose cofactors all vanish, is a broken
+        # invariant (exit 3) before any target is built.
+        real_cof, real_fib, real_rows = (
+            construction.cofactor_vector, construction.fib_prefix, construction.binary_rows)
 
-        def wrong_tail(n, k):
-            v = real_v(n, k)
-            return v[:-1] + (v[-1] + 1,)
+        def lowered(values):
+            # The largest subset weight, at j = n-k-1, lowered by one: still
+            # a complete sequence, so the greedy scan would use it.
+            return values[:j] + type(values)([values[j] - 1]) + values[j + 1:]
+
+        def duplicated(n, k):
+            rows = real_rows(n, k)
+            rows = rows[:-1] + rows[-2:-1]
+            assert set(real_cof(rows[1:])) == {0}
+            return rows
+
+        try:
+            for n, k in ((10, 3), (11, 3), (64, 6)):
+                j = n - k - 1
+                name, fake = {
+                    "cofactor weight": ("cofactor_vector", lambda rows: lowered(real_cof(rows))),
+                    "fib term": ("fib_prefix", lambda step, m: lowered(real_fib(step, m))),
+                    "dependent rows": ("binary_rows", duplicated),
+                }[corrupt]
+                monkeypatch.setattr(construction, name, fake)
+                construction._normalized_rows.cache_clear()
+                message = f"do not begin with the k-step sequence for n={n}, k={k}"
+                with pytest.raises(InternalInvariantError, match=message):
+                    construct_matrix(n, 1, k)
+                construction._normalized_rows.cache_clear()
+                assert cli_main(["construct", "--n", str(n), "--k", str(k), "--det", "-1"]) == 3
+                out, err = capsys.readouterr()
+                assert out == "" and message in err
+        finally:
+            construction._normalized_rows.cache_clear()
+
+    def test_a_corrupted_recurrence_changes_no_document_and_fails_verify(
+            self, monkeypatch, capsys, tmp_path):
+        # construct certifies by the cofactors alone, so a wrong recurrence
+        # vector leaves its documents as they are; verify reads the
+        # recurrence, so under the same corruption it rejects them.
+        real_v = construction.orthogonal_vector
 
         def wrong_weight(n, k):
-            # Lower the largest subset weight by one: still a complete
-            # sequence, so the greedy scan uses it and the built matrix's
-            # determinant would be off by one from the claimed value.
             v = real_v(n, k)
             j = n - k - 1
             return v[:j] + (v[j] - 1,) + v[j + 1:]
 
-        def matching_fib(k, m):
-            vals = real_fib(k, m)
-            return vals[:-1] + [vals[-1] - 1]
-
-        cases = [(wrong_tail, real_fib), (wrong_weight, matching_fib)]
+        cases = [(10, 3, 51), (11, 3, -40), (64, 6, -theorem_bound(64, 6))]
+        docs = [construct_matrix(n, a, k).to_text() for n, k, a in cases]
+        monkeypatch.setattr(construction, "orthogonal_vector", wrong_weight)
+        construction._normalized_rows.cache_clear()
         try:
-            for vector, fib in cases:
-                monkeypatch.setattr(construction, "orthogonal_vector", vector)
-                monkeypatch.setattr(construction, "fib_prefix", fib)
-                for n, k in ((10, 3), (11, 3), (64, 6)):
-                    construction._normalized_rows.cache_clear()
-                    a = -vector(n, k)[n - k - 1]
-                    with pytest.raises(InternalInvariantError, match="orthogonality to rows"):
-                        construct_matrix(n, a, k)
+            for (n, k, a), doc in zip(cases, docs):
+                assert construct_matrix(n, a, k).to_text() == doc
+                path = tmp_path / f"{n}.txt"
+                path.write_text(doc)
+                assert cli_main(["verify", str(path)]) == 1
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert "mismatch: orthogonal vector is not orthogonal to rows 2..n" in err
         finally:
             construction._normalized_rows.cache_clear()
 

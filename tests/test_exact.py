@@ -19,6 +19,7 @@ from bindet import (
     dot,
     fib_prefix,
     is_orthogonal_to_all,
+    orthogonal_vector,
     seed_matrix,
 )
 from bindet import exact
@@ -184,9 +185,15 @@ class TestCofactorVector:
         assert cofactor_vector([(1, 1, 0), (0, 1, 1)]) == (1, -1, 1)
 
     def test_construction_rows_give_orthogonal_vector(self, v_10_3):
-        rows = binary_rows(10, 3)[1:]
-        # D = +1 at (10, 3), so the cofactors equal the recurrence vector.
-        assert cofactor_vector(rows) == v_10_3
+        # The first order of _lower_rows has cofactors +F_k, the recurrence
+        # vector; the second, with the bottom two rows exchanged, negates them.
+        assert cofactor_vector(_lower_rows(10, 3)[0]) == v_10_3
+        grid = [(n, k) for n in range(4, 61) for k in range(2, n // 2 + 1)]
+        for n, k in grid + [(128, 6), (256, 7)]:
+            plain, swapped = _lower_rows(n, k)
+            v = orthogonal_vector(n, k)
+            assert cofactor_vector(plain) == v
+            assert cofactor_vector(swapped) == tuple(-x for x in v)
 
     def test_dependent_rows_give_zero_vector(self):
         assert cofactor_vector([(1, 1, 0), (1, 1, 0)]) == (0, 0, 0)
