@@ -40,7 +40,7 @@ from itertools import combinations, repeat
 
 import numpy as np
 
-from .exact import subset_sums
+from .exact import subset_sums, widen
 
 _PARENTS = 1 << 10  # parents expanded at once; bounds each level's arrays
 _NEG_BITS = 16  # a key's low field: the sum of |C_j| over C_j < 0
@@ -164,7 +164,7 @@ def _magnitudes(key: int, n: int):
 
 def _reach(key: int, n: int) -> tuple[int, int]:
     """(S(|C|) as a Python-int bitset, sum of |C_j| over C_j < 0) for one key."""
-    return subset_sums(_magnitudes(key, n)), key & ((1 << _NEG_BITS) - 1)
+    return widen(*subset_sums(_magnitudes(key, n))), key & ((1 << _NEG_BITS) - 1)
 
 
 def exhaustive_chunk(n, start, stop, offset):
@@ -192,6 +192,6 @@ def exhaustive_chunk(n, start, stop, offset):
 def family_bitmap(cof, lo, seen):
     """OR the subset sums of cof into the uint8 array seen, at seen[s - lo]."""
     shift = int(sum(c for c in cof if c < 0)) - lo
-    cells = subset_sums(sorted(abs(int(c)) for c in cof if c)) << shift
+    cells = widen(*subset_sums(sorted(abs(int(c)) for c in cof if c))) << shift
     packed = np.frombuffer(cells.to_bytes(seen.size // 8 + 1, "little"), dtype=np.uint8)
     seen |= np.unpackbits(packed, count=seen.size, bitorder="little")

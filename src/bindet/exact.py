@@ -21,7 +21,8 @@ next real update, which on sparse 0/1 matrices skips most of the work.
 Exactness is checked once per row: floor remainders all take the divisor's
 sign, so a row divides exactly iff the sum of its numerators equals the
 divisor times the sum of its quotients, and each row's sum is carried
-beside it.  A division by 1 is exact, so it is skipped with its check.
+beside it.  A division by 1 is exact, so it is skipped with its check,
+and +-1 steps (see _reduce_row) add or subtract whole rows at C speed.
 
 Entries are taken through ``operator.index``: ints, bools and numpy
 integers pass, while a float or a string raises TypeError instead of being
@@ -30,9 +31,10 @@ truncated or parsed.  ``IntMatrix`` is a ``_record.Record``.  Its
 private ``IntMatrix._of_checked_rows``, which carries its text (a slot, not
 a field) and checks nothing: construction checks and renders the fixed
 lower rows of each (n, k) once and builds only the 0/1 top row per target.
-``subset_sums`` is the Python-int subset-sum bitset of both spectrum
-oracles: one mask over a complete prefix of weights, as the k-step
-Fibonacci weights are, then one shift-or per weight.
+``subset_sums`` gives both spectrum oracles' subset sums as (s, rest): a
+complete prefix of weights, as the k-step Fibonacci ones are, fills
+[0, s], and rest is the Python-int bitset of the sums of the weights
+after it, one shift-or each; ``widen`` joins the two in O(log s) steps.
 
 One rule reads matrix, rows and certificate text: a line is read only as
 the writer writes its values, so it ends in "\\n" (the last line too) and
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from operator import index, mul
+from operator import add, index, mul, neg, sub
 from typing import Iterable, Sequence
 
 from ._record import Record, _set
@@ -149,11 +151,15 @@ def _reduce_row(row: list[int], row_sum: int, top: list[int], top_sum: int,
     row_sum and top_sum are the sums of row and top, carried by the caller.
     Floor remainders all take the sign of d, so they vanish together exactly
     when the numerators sum to d times the quotients' sum: one check per
-    row, not per entry.  Dividing by 1 is exact, so d = 1 neither divides
-    nor checks.
+    row, not per entry.  d = 1 is exact, so it neither divides nor checks,
+    and with a +-1 pivot and f = +-1 the step is one ``map`` at C speed.
     """
     total = piv * row_sum - f * top_sum
     if d == 1:
+        if piv == 1 and (f == 1 or f == -1):
+            return list(map(sub if f == 1 else add, row, top)), total
+        if piv == -1 and f == -1:
+            return list(map(sub, top, row)), total
         return [x * piv - f * y for x, y in zip(row, top)], total
     quo = [(x * piv - f * y) // d for x, y in zip(row, top)]
     quo_sum = sum(quo)
@@ -210,11 +216,13 @@ def _eliminate(rows: Sequence[Sequence[int]]):
             sums[t], sums[p] = sums[p], sums[t]
             div[t], div[p] = div[p], div[t]
             sign = -sign
-        if div[t] != prev:
+        if div[t] == -prev:  # the true row is -row
+            a[t], sums[t] = list(map(neg, a[t])), -sums[t]
+        elif div[t] != prev:
             a[t], sums[t] = _reduce_row(a[t], sums[t], a[t], 0, prev, 0, div[t])
         piv = a[t][c]
         s = min(lo, c)
-        top, top_sum = a[t][s:], sums[t]
+        top, top_sum = a[t][s:] if len(hit) > 1 else None, sums[t]
         # Rows t+1..p-1 are zero in column c, and row p now holds the old
         # row t, which is too.
         for i in hit[1:]:
@@ -276,7 +284,7 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     # and the one non-pivot column j0 is zero in every row pivoted after it.
     # Fixing x[j0] to the last pivot, the maximal minor on the pivot columns,
     # makes the kernel vector integral (Cramer): each pivot divides exactly.
-    j0 = next(c for c in range(n) if c not in pivots)
+    j0 = n * m // 2 - sum(pivots)  # the one column of n missing from the m pivots
     x = [0] * n
     x[j0] = a[-1][pivots[-1]] if m else 1
     for t in range(m - 1, -1, -1):
@@ -289,7 +297,7 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     # cofactor C'[j0] is (-1)^j0 times that minor, so C' is the kernel
     # vector with that entry; C is C' reversed, times the reversal's sign.
     s = -sign if (j0 % 2) ^ (n % 4 > 1) else sign
-    return tuple(s * v for v in reversed(x))
+    return tuple(reversed(x) if s == 1 else map(neg, reversed(x)))
 
 
 def is_orthogonal_to_all(v: Sequence[int], rows: Iterable[Sequence[int]]) -> bool:
@@ -297,13 +305,13 @@ def is_orthogonal_to_all(v: Sequence[int], rows: Iterable[Sequence[int]]) -> boo
     return all(dot(v, row) == 0 for row in rows)
 
 
-def subset_sums(weights: Iterable[int]) -> int:
-    """Bitset of the subset sums of nonnegative weights: bit s is set iff some subset sums to s.
+def subset_sums(weights: Iterable[int]) -> tuple[int, int]:
+    """(s, rest): the subset sums of nonnegative weights are rest widened by [0, s].
 
     While each weight is at most 1 + the sum s of those before it, the sums
-    fill [0, s], in any order, so that prefix costs one mask.  Each weight
-    from the first gap on costs one shift-or, which raises ValueError on a
-    negative weight; given in increasing order, the prefix is longest.
+    fill [0, s], in any order.  rest is the bitset of the sums of the rest
+    of the weights (1 if none), one shift-or each, which raises ValueError
+    on a negative weight; given in increasing order, the prefix is longest.
     """
     s = 0
     weights = iter(weights)
@@ -312,7 +320,16 @@ def subset_sums(weights: Iterable[int]) -> int:
             weights = chain((w,), weights)
             break
         s += w
-    reach = (1 << (s + 1)) - 1
+    rest = 1
     for w in weights:
-        reach |= reach << w
-    return reach
+        rest |= rest << w
+    return s, rest
+
+
+def widen(s: int, bits: int) -> int:
+    """bits | bits << 1 | ... | bits << s, in O(log s) shift-ors: (s, rest) as one bitset."""
+    done = 0  # bits is widened by [0, done]
+    while done < s:
+        bits |= bits << min(done + 1, s - done)
+        done = min(2 * done + 1, s)
+    return bits

@@ -4,10 +4,10 @@ The exhaustive oracle reports the exact set of determinants reached by
 every binary matrix of a given size; the family oracle does the same for
 the 2^n matrices sharing fixed rows 2..n.  Both expand the free top row
 through the first-row Laplace expansion, which is an exact determinant
-identity for any rows.  A report holds the reached values as a Python-int
-bitset: the count and the least missing natural d are read off it, the
-document is written from it a window at a time, and the value tuple is
-only built when it is asked for.
+identity for any rows.  A report holds the reached values as a run, as
+complete cofactors such as the construction's reach, or as a Python-int
+bitset: count and d are read off either, the document is written a window
+at a time, and the value tuple is only built when it is asked for.
 
 spectrum_family takes its cofactors from exact.cofactor_vector, which
 shares one elimination routine with det_exact, and sweeps their subset
@@ -38,7 +38,7 @@ from .construction import (
     seed_matrix,
 )
 from .errors import DependentRowsError, EnumerationCapError, InternalInvariantError
-from .exact import cofactor_vector, det_exact, dot, is_orthogonal_to_all, subset_sums
+from .exact import cofactor_vector, det_exact, dot, is_orthogonal_to_all, subset_sums, widen
 from .fibk import theorem_bound
 
 _EXHAUSTIVE_MAX_N = 6
@@ -50,18 +50,27 @@ _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to selectors for compre
 
 
 class SpectrumReport(Record):
-    """Determinants reached by one enumeration, held as a Python-int bitset.
+    """Determinants reached by one enumeration: a run, or a Python-int bitset.
 
-    Bit v - lo of seen is set exactly for the reached values v, and lo <= 0.
-    count and d are read off the bitset; the values tuple is built on first
-    access, and write streams the document without it.
+    Values are lo + j for the bits j of rest widened by [0, s], lo <= 0:
+    rest = 1 is the run [lo, lo + s]; otherwise s = 0 and rest is the
+    bitset.  values is built on first access; write streams without it.
     """
 
-    __slots__ = ("n", "mode", "seen", "lo", "elapsed", "__dict__")  # for values
+    __slots__ = ("n", "mode", "lo", "s", "rest", "elapsed", "__dict__")  # for values
+
+    @property
+    def seen(self) -> int:  # bit v - lo is set for each reached value v
+        return widen(self.s, self.rest)
 
     def _windows(self):
         """The reached values, one iterator per window of _VALUES_WINDOW cells with any set."""
-        seen, lo, width = self.seen, self.lo, _VALUES_WINDOW
+        lo, width = self.lo, _VALUES_WINDOW
+        if self.rest == 1:
+            end = lo + self.s + 1
+            yield from (range(i, min(i + width, end)) for i in range(lo, end, width))
+            return
+        seen = self.seen
         size, mask = seen.bit_length(), (1 << width) - 1
         data = seen.to_bytes((size + 7) // 8, "little")
         for i in range(0, size, width):
@@ -77,11 +86,13 @@ class SpectrumReport(Record):
 
     @property
     def count(self) -> int:
-        return self.seen.bit_count()
+        return self.s + 1 if self.rest == 1 else self.seen.bit_count()
 
     @property
     def d(self) -> int:
         # The least missing natural: 1 + the run of set cells from the cell for 1.
+        if self.rest == 1:
+            return max(self.lo + self.s, 0) + 1
         run = self.seen >> (1 - self.lo)
         return (run ^ (run + 1)).bit_length()
 
@@ -138,7 +149,7 @@ def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> Spectr
             f"n={_EXHAUSTIVE_MAX_N}, pass force to override up to n={_EXHAUSTIVE_FORCE_MAX_N}"
         )
     if n == 1:
-        return SpectrumReport(1, "exhaustive", 0b11, 0, time.perf_counter() - t0)
+        return SpectrumReport(1, "exhaustive", 0, 1, 1, time.perf_counter() - t0)
 
     from . import _kernels  # loads numpy
 
@@ -163,7 +174,7 @@ def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> Spectr
         seen |= cells
     # Close under negation: the cell of -v mirrors that of v among the 2 n! + 1.
     seen |= int(format(seen, f"0{2 * offset + 1}b")[::-1], 2)
-    return SpectrumReport(n, "exhaustive", seen, -offset, time.perf_counter() - t0)
+    return SpectrumReport(n, "exhaustive", -offset, 0, seen, time.perf_counter() - t0)
 
 
 def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
@@ -172,10 +183,11 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
     The cofactors C of the fixed rows are computed exactly.  The reached
     values are the subset sums of C, which are those of |C| shifted down by
     lo, the sum of the negative C_j: exact.subset_sums over the nonzero
-    |C_j| in increasing order, one mask for their complete prefix and a
-    shift-or for each weight after it, over at most sum(|C_j|) + 1 <=
-    _FAMILY_MAX_CELLS = 2^28 cells.  Rows of the wrong shape raise
-    ValueError from cofactor_vector.
+    |C_j| in increasing order gives the end s of their complete prefix and
+    the bitset of the sums after it.  With none after it, the report is the
+    run [lo, lo + s]; else that bitset is widened by [0, s] here.  Either
+    way sum(|C_j|) + 1 <= _FAMILY_MAX_CELLS = 2^28.  Rows of the wrong
+    shape raise ValueError from cofactor_vector.
     """
     t0 = time.perf_counter()
     n = len(rows) + 1
@@ -193,8 +205,9 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
         raise EnumerationCapError(
             f"value range exceeds the bitmap cap of {_FAMILY_MAX_CELLS} cells"
         )
-    seen = subset_sums(sorted(abs(c) for c in cof if c))
-    return SpectrumReport(n, "family", seen, lo, time.perf_counter() - t0)
+    s, rest = subset_sums(sorted(abs(c) for c in cof if c))
+    s, rest = (s, 1) if rest == 1 else (0, widen(s, rest))
+    return SpectrumReport(n, "family", lo, s, rest, time.perf_counter() - t0)
 
 
 def verify_laplace_identity(

@@ -1,5 +1,6 @@
 """Exact linear algebra: determinants, cofactors, dot products."""
 
+import collections
 import functools
 import itertools
 import math
@@ -270,6 +271,15 @@ def complete_prefix_then_gap(draw):
     return prefix + [gap] + draw(st.lists(st.integers(0, 60), max_size=3))
 
 
+def complete_prefix_length(weights):
+    """Independent reading of the prefix: how many leading weights fill [0, their sum]."""
+    i = 0
+    while i < len(weights) and subset_sums_by_enumeration(weights[:i + 1]) == \
+            (1 << (sum(weights[:i + 1]) + 1)) - 1:
+        i += 1
+    return i
+
+
 class TestSubsetSums:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
@@ -279,21 +289,34 @@ class TestSubsetSums:
         complete_prefix_then_gap().flatmap(st.permutations),
     ))
     def test_matches_enumeration_in_any_order(self, weights):
-        expected = subset_sums_by_enumeration(weights)
-        assert exact.subset_sums(weights) == exact.subset_sums(iter(weights)) == expected
+        # (s, rest): the complete prefix's end, and the sums of the weights after it.
+        i = complete_prefix_length(weights)
+        s, rest = exact.subset_sums(weights)
+        assert exact.subset_sums(iter(weights)) == (s, rest)
+        assert (s, rest) == (sum(weights[:i]), subset_sums_by_enumeration(weights[i:]))
+        assert exact.widen(s, rest) == subset_sums_by_enumeration(weights)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
     def test_complete_fibonacci_prefixes_fill_an_interval(self, k):
         for m in range(12):
             weights = fib_prefix(k, m)
             full = (1 << (sum(weights) + 1)) - 1
-            assert exact.subset_sums(weights) == subset_sums_by_enumeration(weights) == full
+            assert exact.subset_sums(weights) == (sum(weights), 1)
+            assert exact.widen(sum(weights), 1) == subset_sums_by_enumeration(weights) == full
 
     @pytest.mark.parametrize("weights", [[-1], [0, -1], [1, 1, -1, 2], [1, 2, 10, -1],
                                          [3, -2], [1, 1, 2, 4, 50, 3, -7]])
     def test_a_negative_weight_raises(self, weights):
         with pytest.raises(ValueError):
             exact.subset_sums(weights)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 70), st.integers(0, (1 << 40) - 1))
+    def test_widen_is_one_shift_or_per_offset(self, s, bits):
+        expect = 0
+        for j in range(s + 1):
+            expect |= bits << j
+        assert exact.widen(s, bits) == expect
 
 
 @st.composite
@@ -395,6 +418,87 @@ def test_construction_rows_eliminate_with_unit_pivots(monkeypatch):
                 cofactor_vector(rows)
                 det_exact([unit, *rows])
     assert divisors and set(divisors) <= {1, -1} and entries <= {-1, 0, 1}
+
+
+def test_construction_rows_divide_by_one_alone(monkeypatch):
+    # Their pivots are 1 (once -1, updating no row), so every update
+    # divides by 1 and runs as a +-1 step, with no division and no check.
+    divisors, _ = _wrap_reduce_row(monkeypatch, corrupt=False)
+    for n in range(4, 81):
+        for k in range(2, n // 2 + 1):
+            for rows in _lower_rows(n, k):
+                cofactor_vector(rows)
+    assert set(divisors) == {1}
+
+
+def _count_unit_steps(monkeypatch):
+    """Counter of the core's +-1 branches taken, each checked to run as it should.
+
+    A row update through a branch must make one add or sub per entry and
+    nothing else; a single-hit column is a pivot column that updates no row.
+    """
+    taken, ops, tops = collections.Counter(), collections.Counter(), []
+
+    def counted(name, op):
+        def call(*args):
+            ops[name] += 1
+            return op(*args)
+        return call
+
+    for name in ("add", "sub", "neg"):
+        monkeypatch.setattr(exact, name, counted(name, getattr(exact, name)))
+    reduce_row, eliminate = exact._reduce_row, exact._eliminate
+
+    def wrapped_reduce_row(row, row_sum, top, top_sum, piv, f, d):
+        before = ops.copy()
+        out = reduce_row(row, row_sum, top, top_sum, piv, f, d)
+        step = {(1, 1): "sub", (1, -1): "add", (-1, -1): "sub"}.get((piv, f)) if d == 1 else None
+        assert ops - before == collections.Counter({step: len(row)} if step else {})
+        if step:
+            taken[f"piv {piv}, f {f}"] += 1
+        if f:
+            tops.append(top)  # kept alive, so that each column's top has its own id
+        return out
+
+    def wrapped_eliminate(rows):
+        tops.clear()
+        negated = ops["neg"]
+        out = eliminate(rows)
+        if ops["neg"] > negated:
+            taken["negated pivot row"] += 1
+        if out is not None and len(out[1]) > len(set(map(id, tops))):
+            taken["single hit"] += 1
+        return out
+
+    monkeypatch.setattr(exact, "_reduce_row", wrapped_reduce_row)
+    monkeypatch.setattr(exact, "_eliminate", wrapped_eliminate)
+    return taken
+
+
+UNIT_ENTRY_MATRICES = st.tuples(st.integers(2, 6), st.sampled_from([(0, 1), (-1, 0, 1)])).flatmap(
+    lambda spec: st.lists(st.tuples(*[st.sampled_from(spec[1])] * spec[0]),
+                          min_size=spec[0], max_size=spec[0]))
+
+
+def test_unit_steps_match_permutation_sums(monkeypatch):
+    taken = _count_unit_steps(monkeypatch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(UNIT_ENTRY_MATRICES)
+    # Swept from the last column: piv 1 with f 1, then with f -1; piv -1
+    # with f -1; and a -1 pivot in a single-hit column that leaves the next
+    # pivot row to be negated.
+    @example([(0, 1), (1, 1)])
+    @example([(0, 1), (1, -1)])
+    @example([(1, -1), (0, -1)])
+    @example([(0, 0, -1), (0, 1, 0), (1, 0, 0)])
+    def check(rows):
+        assert det_exact(rows) == det_permsum(rows)
+        assert cofactor_vector(rows[1:]) == cofactors_permsum(rows[1:])
+
+    check()
+    assert set(taken) == {"piv 1, f 1", "piv 1, f -1", "piv -1, f -1",
+                          "negated pivot row", "single hit"}
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bindet import _kernels, cofactor_vector, det_exact, fib_prefix, spectrum_exhaustive
-from bindet.exact import subset_sums
+from bindet.exact import subset_sums, widen
 
 
 def _members(cells, lo):
@@ -31,7 +31,8 @@ def run_exhaustive(n, blocks):
 
 def run_family(cof):
     """The family sweep: subset sums of |cof|, shifted down by the negative sum."""
-    return _members(subset_sums(sorted(abs(c) for c in cof if c)), sum(c for c in cof if c < 0))
+    return _members(widen(*subset_sums(sorted(abs(c) for c in cof if c))),
+                    sum(c for c in cof if c < 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bindet import _kernels, construction, oracle
+from bindet.construction import _lower_rows
 from bindet import (
     DependentRowsError,
     EnumerationCapError,
@@ -210,7 +211,7 @@ class TestStreamedDocument:
         spectrum_exhaustive(1).write(out)
         assert out.getvalue() == "spectrum\nn 1\nmode exhaustive\ncount 2\nd 2\nvalues 0 1\nend\n"
         # No cell set: the values line keeps its single space.
-        empty = oracle.SpectrumReport(2, "family", 0, -4, 0.0)
+        empty = oracle.SpectrumReport(2, "family", -4, 0, 0, 0.0)
         assert empty.to_text() == "spectrum\nn 2\nmode family\ncount 0\nd 1\nvalues \nend\n"
         out = io.StringIO()
         empty.write_values(out)
@@ -263,7 +264,7 @@ class TestReportFromBitmap:
         for cof in ([1, 2, 4, -3], [1, 1, 1], [1], [5, -1, -2, -2, 1, 1, 1]):
             r = _family_report(cof)
             size = sum(map(abs, cof)) + 1
-            assert r.seen == (1 << size) - 1
+            assert (r.s, r.rest) == (size - 1, 1) and r.seen == (1 << size) - 1
             assert r.values == tuple(range(r.lo, r.lo + size))
             assert r.d == r.lo + size == smallest_missing_natural(r.values)
 
@@ -279,6 +280,62 @@ class TestReportFromBitmap:
         assert r.values == (0,)
         assert r.d == 1 and r.count == 1
         assert _family_report([0, 0, 0]).values == (0,)
+
+
+def _mask_then_shift_ors(cof):
+    """The reached cells as a bitset, built as before runs: one mask over the
+    complete prefix of the sorted |C|, then one shift-or per weight after it."""
+    weights = sorted(abs(c) for c in cof if c)
+    s = i = 0
+    while i < len(weights) and weights[i] <= s + 1:
+        s += weights[i]
+        i += 1
+    seen = (1 << (s + 1)) - 1
+    for w in weights[i:]:
+        seen |= seen << w
+    return seen
+
+
+# The benchmark's construction families past n = 20, whose documents are
+# compared in full; the others past n = 20 compare all but the value list.
+BENCHMARKED_FAMILIES = {(21, 4), (22, 4), (23, 3), (23, 4), (24, 4)}
+
+
+class TestRunForm:
+    """A run report reads the same as the bitset built the old way."""
+
+    @staticmethod
+    def _check(rows, full_text=True):
+        r = spectrum_family(rows)
+        cof = cofactor_vector(rows)
+        seen, lo = _mask_then_shift_ors(cof), sum(c for c in cof if c < 0)
+        old = oracle.SpectrumReport(r.n, "family", lo, 0, seen, 0.0)
+        run = seen >> (1 - lo)
+        assert r.rest == 1 or r.s == 0
+        assert (r.lo, r.seen, r.count) == (lo, seen, seen.bit_count())
+        assert r.d == (run ^ (run + 1)).bit_length()
+        assert r.to_text(include_values=False) == old.to_text(include_values=False)
+        if full_text:
+            assert r.to_text() == old.to_text()
+        if r.n <= 18:
+            assert r.values == old.values
+        return r
+
+    @pytest.mark.parametrize("n", range(4, 25))
+    def test_construction_rows_are_one_run(self, n):
+        for k in range(2, n // 2 + 1):
+            for rows in _lower_rows(n, k):
+                r = self._check(rows, n <= 20 or (n, k) in BENCHMARKED_FAMILIES)
+                assert r.rest == 1
+
+    def test_random_rows(self):
+        rng = random.Random(11)
+        forms = set()
+        for n in range(2, 19):
+            for _ in range(6):
+                rows = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n - 1)]
+                forms.add(self._check(rows).rest == 1)
+        assert forms == {True, False}
 
 
 class TestSpectrumFamily:

@@ -40,8 +40,8 @@ RECORDS = {
     ),
     "SpectrumReport": (
         SpectrumReport,
-        ("n", "mode", "seen", "lo", "elapsed"),
-        (2, "family", 0b101, -1, 0.5),  # the values -1 and 1
+        ("n", "mode", "lo", "s", "rest", "elapsed"),
+        (2, "family", -1, 0, 0b101, 0.5),  # the values -1 and 1
     ),
     "CheckResult": (CheckResult, ("name", "passed", "detail"), ("unit_determinant", False, "got 2")),
     "ConstructionCheckReport": (
@@ -114,7 +114,7 @@ def test_equality_and_hash_by_value(name):
     ("BoundTable", "best_k", 3),
     ("CheckResult", "detail", ""),
     ("ConstructionCheckReport", "targets_swept", 0),
-    ("SpectrumReport", "seen", 0b111),
+    ("SpectrumReport", "rest", 0b111),
 ])
 def test_one_changed_field_breaks_equality(name, field, other):
     cls, fields, values = RECORDS[name]
@@ -139,6 +139,15 @@ def test_spectrum_report_compares_by_its_bitset():
     a, b = cls(*values), cls(*values)
     assert a == b and hash(a) == hash(b)
     assert a.count == b.count == 2 and a.d == b.d == 2 and a.values == (-1, 1)
+    assert a.seen == 0b101 and "seen" not in cls._fields
+
+
+def test_a_spectrum_run_holds_no_bitset():
+    # rest = 1 is the run [lo, lo + s]; seen is derived from it, not held.
+    run = SpectrumReport(3, "family", -2, 4, 1, 0.0)
+    assert run.values == (-2, -1, 0, 1, 2) and run.count == 5 and run.d == 3
+    assert run.seen == 0b11111 and run._astuple() == (3, "family", -2, 4, 1, 0.0)
+    assert SpectrumReport(3, "family", -5, 4, 1, 0.0).d == 1
 
 
 def test_spectrum_values_are_computed_once():
