@@ -23,12 +23,7 @@ from .construction import (
     construct_matrix,
     verify_certificate,
 )
-from .errors import (
-    DependentRowsError,
-    EnumerationCapError,
-    InternalInvariantError,
-    TargetOutOfRangeError,
-)
+from .errors import InternalInvariantError
 from .exact import IntMatrix, det_exact, parse_rows
 from .fibk import bound_table, fib_prefix
 
@@ -284,13 +279,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 3
-    except (
-        TargetOutOfRangeError,
-        EnumerationCapError,
-        DependentRowsError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # the domain errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

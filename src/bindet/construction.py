@@ -20,15 +20,15 @@ certified by that exact dot product, summed over the entries of v that its
 built 0/1 top row selects (negated when the bottom two rows are swapped).
 The check trusts neither the greedy scan nor the recurrence, which
 verify_certificate and oracle.verify_construction use instead.  The same
-per-(n, k) pass checks that R is n-1 rows of length n and the subset
-weights, and renders R as a head block plus its last two lines, which the
-sign swap exchanges.  A target pays for the greedy scan, the top row and
-one C-level pass over it: the matrix shares R's cached row tuples and text
-(through ``IntMatrix._of_checked_rows``, which checks nothing), and the
-subset line joins labels cached per n.  The parameters and the
-certificate are immutable ``_record.Record`` instances; the certificate
-stores (params, target, matrix) and derives its subset, sign swap and
-determinant from them.
+per-(n, k) pass checks that R is n-1 rows of length n (the F_k weights
+need no check: they are complete), and renders R as a head block plus its
+last two lines, which the sign swap exchanges.  A target pays for the
+greedy scan, the top row and one C-level pass over it: the matrix shares
+R's cached row tuples and text (through ``IntMatrix._of_checked_rows``,
+which checks nothing), and the subset line joins labels cached per n.
+The parameters and the certificate are immutable ``_record.Record``
+instances; the certificate stores (params, target, matrix) and derives
+its subset, sign swap and determinant from them.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from typing import Sequence
 
 from ._record import Record, _set
 from .errors import InternalInvariantError, TargetOutOfRangeError
-from .exact import (
-    IntMatrix, _read_ints, cofactor_vector, det_exact, is_orthogonal_to_all, parse_rows,
-)
+from .exact import (IntMatrix, _first_non_binary, _read_ints, cofactor_vector, det_exact,
+                    is_orthogonal_to_all, parse_rows)
 from .fibk import best_k, check_admissible, fib_prefix
 
 _CERT_HEADER = "certificate"
@@ -107,20 +106,20 @@ def binary_rows(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
     Computed with the row-sum formula r_i = s_i + s_{i+k} + ... over the
     seed rows s, as suffix sums r_i = s_i + r_{i+k} in plain ints.  An entry
-    outside {0, 1} is an internal error, since the binarity of these rows is
-    exactly what the whole construction rests on.  oracle.verify_construction
-    checks the formula against the matrix product with binarizing_transform.
+    outside {0, 1}, found by one C-level set union over the rows, is an
+    internal error, since the binarity of these rows is exactly what the
+    whole construction rests on.  oracle.verify_construction checks the
+    formula against the matrix product with binarizing_transform.
     """
     seed = seed_matrix(n, k).rows
     rows = list(seed)
     for i in range(n - 1 - k, 0, -1):
         rows[i] = tuple(map(add, seed[i], rows[i + k]))
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x != 0 and x != 1:
-                raise InternalInvariantError(
-                    f"binarized row entry out of {{0,1}} at {(i, j)} for n={n}, k={k}"
-                )
+    bad = _first_non_binary(rows)
+    if bad is not None:
+        raise InternalInvariantError(
+            f"binarized row entry out of {{0,1}} at {bad[:2]} for n={n}, k={k}"
+        )
     return tuple(rows)
 
 
@@ -148,17 +147,10 @@ def greedy_subset(weights: Sequence[int], target: int) -> tuple[int, ...]:
     sum of those before it (a complete sequence), and
     0 <= target <= sum(weights).  Scanning from the largest index and taking
     a weight whenever the remainder allows always succeeds under those
-    conditions.  Weights are taken through operator.index, as in exact.
+    conditions, which it checks (ValueError); construct_matrix does not, as
+    F_k(1..n-k) meets them.  Weights are taken through operator.index.
     """
     w = [index(x) for x in weights]
-    prefix = _complete_sum(w)
-    if not 0 <= target <= prefix:
-        raise ValueError(f"target {target} outside [0, {prefix}]")
-    return _greedy_scan(w, target)
-
-
-def _complete_sum(w: Sequence[int]) -> int:
-    """The sum of w, after the weight checks of greedy_subset (ValueError)."""
     if not w:
         raise ValueError("weights must be nonempty")
     for i, x in enumerate(w):
@@ -173,11 +165,13 @@ def _complete_sum(w: Sequence[int]) -> int:
                 f"completeness violated at weights[{i}] = {x} > {prefix} (prefix sum)"
             )
         prefix += x
-    return prefix
+    if not 0 <= target <= prefix:
+        raise ValueError(f"target {target} outside [0, {prefix}]")
+    return _greedy_scan(w, target)
 
 
 def _greedy_scan(w: Sequence[int], target: int) -> tuple[int, ...]:
-    """The greedy scan of greedy_subset over weights _complete_sum accepted."""
+    """The greedy scan of greedy_subset over a complete sequence w."""
     chosen = []
     remaining = target
     for i in range(len(w) - 1, -1, -1):
@@ -301,8 +295,8 @@ def _normalized_rows(n: int, k: int):
     head + tails[s] as the text of lower[s].  The rows are checked to be
     n-1 rows of length n, and v, from exact elimination, to begin with
     F_k(1..n-k): v is the exact cofactor vector of the rows, and its first
-    n-k entries are F_k (module docstring).  The weights are checked once
-    here, so per target only the scan runs.
+    n-k entries are F_k (module docstring).  F_k(1..n-k) is complete, so
+    the weights need no check of their own and per target only the scan runs.
     """
     params = ConstructionParams(n, k)
     lower = _lower_rows(n, k)
@@ -315,10 +309,7 @@ def _normalized_rows(n: int, k: int):
         raise InternalInvariantError(
             f"cofactors of rows 2..n do not begin with the k-step sequence for n={n}, k={k}"
         )
-    try:
-        bound = _complete_sum(weights)
-    except ValueError as exc:
-        raise InternalInvariantError(f"subset weights for n={n}, k={k}: {exc}") from None
+    bound = sum(weights)  # F_k(1..n-k) is complete
     lines = [" ".join(map(str, row)) + "\n" for row in rows]
     tails = (lines[-2] + lines[-1], lines[-1] + lines[-2])
     return params, lower, weights, v, bound, "".join(lines[:-2]), tails

@@ -85,7 +85,7 @@ class IntMatrix(Record):
         return len(self.rows)
 
     def is_binary(self) -> bool:
-        return set().union(*self.rows) <= {0, 1}
+        return _first_non_binary(self.rows) is None
 
     def to_text(self) -> str:
         """Serialize to the shared matrix text format.
@@ -102,6 +102,14 @@ class IntMatrix(Record):
     def from_text(cls, text: str) -> "IntMatrix":
         """Read the matrix text format, keeping text as to_text's; else ValueError."""
         return cls._of_checked_rows(parse_rows(text), text)
+
+
+def _first_non_binary(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """(i, j, x) for the first entry x outside {0, 1} in row-major order, or None."""
+    if set().union(*rows) <= {0, 1}:  # one C-level pass; the scan runs only on a failure
+        return None
+    return next((i, j, x) for i, row in enumerate(rows)
+                for j, x in enumerate(row) if x not in (0, 1))
 
 
 _INTS = re.compile(r"(?:0|-?[1-9][0-9]*)(?: (?:0|-?[1-9][0-9]*))*")
@@ -176,11 +184,11 @@ def _eliminate(rows: Sequence[Sequence[int]]):
     Rows are read reversed: swept column c is column n-1-c, and the result
     is in swept coordinates.  Per column, one pass lists the rows not yet
     used as pivots that are nonzero there: the first is the pivot and the
-    rest are updated; a column without one is skipped.  Each row's entry
-    sum is carried beside it for _reduce_row's check.  Returns the sign of
-    the row swaps, the m pivot columns and the reduced rows as lists of
-    ints, whose row t is the Bareiss pivot row of step t; or None when the
-    rank is below m.
+    rest are updated from column c on; a column without one is skipped.
+    Each row's entry sum is carried beside it for _reduce_row's check.
+    Returns the sign of the row swaps, the m pivot columns and the reduced
+    rows as lists of ints, whose row t is the Bareiss pivot row of step t;
+    or None when the rank is below m.
 
     A Bareiss step multiplies a row that is zero in the pivot column by
     piv / prev, so over a run of such steps the factors telescope.  Such a
@@ -197,9 +205,10 @@ def _eliminate(rows: Sequence[Sequence[int]]):
     sign = 1
     prev = 1
     pivots: list[int] = []
-    # Swept columns before both the first skipped one (lo) and the current
-    # one are pivot columns, zero in every row below the pivot.
-    lo = width
+    # Every row not yet pivoted is zero before column c: an earlier pivot
+    # column is eliminated below its pivot, and a skipped column is zero in
+    # every such row, whose later updates combine only such rows.  So the
+    # updates slice at c, and the carried sums are the slices' sums.
     for c in range(width):
         t = len(pivots)
         if t == m:
@@ -208,7 +217,6 @@ def _eliminate(rows: Sequence[Sequence[int]]):
         if not hit:
             if c + 1 - t > width - m:
                 return None  # too few columns left for m pivots
-            lo = min(lo, c)
             continue
         p = hit[0]
         if p != t:
@@ -221,13 +229,12 @@ def _eliminate(rows: Sequence[Sequence[int]]):
         elif div[t] != prev:
             a[t], sums[t] = _reduce_row(a[t], sums[t], a[t], 0, prev, 0, div[t])
         piv = a[t][c]
-        s = min(lo, c)
-        top, top_sum = a[t][s:] if len(hit) > 1 else None, sums[t]
+        top, top_sum = a[t][c:] if len(hit) > 1 else None, sums[t]
         # Rows t+1..p-1 are zero in column c, and row p now holds the old
         # row t, which is too.
         for i in hit[1:]:
             row = a[i]
-            row[s:], sums[i] = _reduce_row(row[s:], sums[i], top, top_sum, piv, row[c], div[i])
+            row[c:], sums[i] = _reduce_row(row[c:], sums[i], top, top_sum, piv, row[c], div[i])
             div[i] = piv
         pivots.append(c)
         prev = piv

@@ -38,7 +38,8 @@ from .construction import (
     seed_matrix,
 )
 from .errors import DependentRowsError, EnumerationCapError, InternalInvariantError
-from .exact import cofactor_vector, det_exact, dot, is_orthogonal_to_all, subset_sums, widen
+from .exact import (_first_non_binary, cofactor_vector, det_exact, dot, is_orthogonal_to_all,
+                    subset_sums, widen)
 from .fibk import theorem_bound
 
 _EXHAUSTIVE_MAX_N = 6
@@ -288,8 +289,7 @@ def verify_construction(
     rows = tuple(tuple(map(sum, zip((0,) * n, *(s if t == 1 else [t * x for x in s]
                                                 for t, s in zip(trow, seed_rows) if t))))
                  for trow in binarizing_transform(n, k).rows)
-    bad = next(((i, j, x) for i, row in enumerate(rows)
-                for j, x in enumerate(row) if x != 0 and x != 1), None)
+    bad = _first_non_binary(rows)
     detail = "" if bad is None else f"entry ({bad[0] + 1}, {bad[1] + 1}) = {bad[2]}"
     checks.append(CheckResult("binary_entries", bad is None, detail))
 

@@ -123,6 +123,27 @@ class TestBinaryRows:
         with pytest.raises(InternalInvariantError, match=r"out of \{0,1\} at \(1, 0\)"):
             binary_rows(10, 3)
 
+    def test_non_binary_construction_row_exits_3(self, monkeypatch, capsys):
+        # construct meets the bad entry in its per-(n, k) pass, before any
+        # elimination, and names its position.
+        real_seed = construction.seed_matrix
+
+        def bad_seed(n, k):
+            rows = [list(r) for r in real_seed(n, k).rows]
+            rows[4][2] = 2  # r_2 and r_5 both sum s_5, so both hold a 2 in column 2
+            return IntMatrix(rows)
+
+        monkeypatch.setattr(construction, "seed_matrix", bad_seed)
+        construction._normalized_rows.cache_clear()
+        try:
+            assert cli_main(["construct", "--n", "10", "--k", "3", "--det", "5"]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("internal invariant failure: binarized row entry out of {0,1} "
+                           "at (1, 2) for n=10, k=3\n")
+        finally:
+            construction._normalized_rows.cache_clear()
+
     def test_all_entries_binary_on_a_grid(self):
         for k in range(2, 7):
             for n in range(2 * k, 41):

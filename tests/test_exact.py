@@ -63,6 +63,20 @@ class TestIntMatrix:
         m = IntMatrix([(1, 0), (-1, 2)])
         assert not m.is_binary()
 
+    @given(st.data())
+    def test_first_non_binary_is_a_row_major_scan(self, data):
+        n = data.draw(st.integers(1, 4))
+        entries = data.draw(st.sampled_from([st.integers(0, 1), st.integers(-2, 3)]))
+        rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        scanned = None
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if scanned is None and x not in (0, 1):
+                    scanned = (i, j, x)
+        assert exact._first_non_binary(rows) == scanned
+        assert IntMatrix(rows).is_binary() == (scanned is None)
+
     def test_text_round_trip(self):
         m = IntMatrix([(1, 0, 1), (0, 1, 1), (1, 1, 0)])
         assert IntMatrix.from_text(m.to_text()) == m
