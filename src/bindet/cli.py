@@ -25,7 +25,9 @@ from .construction import (
 )
 from .errors import InternalInvariantError
 from .exact import IntMatrix, det_exact, parse_rows
-from .fibk import bound_table, fib_prefix
+from .fibk import _check_k, bound_table, fib_prefix
+
+_FIB_MAX_DIGITS = 10**8  # digits in fib's value list: about 100 MB of output
 
 
 def _alpha_text(alpha) -> str:
@@ -127,6 +129,12 @@ def cmd_bound(args) -> int:
 def cmd_fib(args) -> int:
     if args.count < 1:
         raise ValueError(f"count must be positive, got {args.count}")
+    _check_k(args.k)
+    # F_k(j) <= 2^(j-2) for j >= 2 bounds the digits of the values.
+    digits = args.count + 30103 * (args.count - 1) * (args.count - 2) // 200000
+    if digits > _FIB_MAX_DIGITS:
+        raise ValueError(f"fib values at count {args.count} may reach {digits} digits; "
+                         f"cap is {_FIB_MAX_DIGITS} digits")
     values = " ".join(map(str, fib_prefix(args.k, args.count)))
     if args.format == "pretty":
         print(f"F_{args.k}(1..{args.count}): {values}")

@@ -1,14 +1,18 @@
 """Constructing a binary matrix with any prescribed determinant.
 
-The pipeline: a lower-triangular ternary seed matrix is built from two row
-templates ('recursive' rows that subtract a running k-window sum, and
-'finishing' rows that close the window near the bottom), then a unit
-upper-triangular 0/1 transform folds each row with its k-step successors,
-which provably lands every entry in {0, 1}.  The paper's claim is that the
-first-row cofactors of the binarized rows 2..n begin with the k-step
-Fibonacci numbers F_k(1..n-k), which form a complete sequence, so a greedy
-scan picks a 0/1 top row whose determinant is any requested value up to
-the prefix sum.  orthogonal_vector computes the same vector by recurrence.
+The paper's matrix is a lower-triangular ternary seed matrix, built from
+two row templates ('recursive' rows that subtract a running k-window sum,
+and 'finishing' rows that close the window near the bottom), times a unit
+upper-triangular 0/1 transform that sums each row with its k-step
+successors, which provably lands every entry in {0, 1}.  binary_rows writes
+the product's rows from their closed form, and orthogonal_vector a vector
+orthogonal to rows 2..n: F_k(1..n-k) from fibk.fib_prefix, then k negated
+window sums.  seed_matrix and binarizing_transform stay off that path, as
+the independent derivation that oracle.verify_construction multiplies out.
+The paper's claim is that the first-row cofactors of the binarized rows
+2..n begin with the k-step Fibonacci numbers F_k(1..n-k), which form a
+complete sequence, so a greedy scan picks a 0/1 top row whose determinant
+is any requested value up to the prefix sum.
 
 Certification is split between the (n, k) rows and the per-target top row.
 Once per (n, k), exact elimination (exact.cofactor_vector) computes the
@@ -18,7 +22,7 @@ vector of R, and its first n-k entries are F_k.  By Laplace expansion
 det([t; R]) = v . t for every top row t, so each returned matrix is
 certified by that exact dot product, summed over the entries of v that its
 built 0/1 top row selects (negated when the bottom two rows are swapped).
-The check trusts neither the greedy scan nor the recurrence, which
+The check trusts neither the greedy scan nor orthogonal_vector, which
 verify_certificate and oracle.verify_construction use instead.  The same
 per-(n, k) pass checks that R is n-1 rows of length n (the F_k weights
 need no check: they are complete), and renders R as a head block plus its
@@ -35,13 +39,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from operator import add, index
+from operator import index
 from typing import Sequence
 
 from ._record import Record, _set
 from .errors import InternalInvariantError, TargetOutOfRangeError
-from .exact import (IntMatrix, _first_non_binary, _read_ints, cofactor_vector, det_exact,
-                    is_orthogonal_to_all, parse_rows)
+from .exact import (IntMatrix, _read_ints, cofactor_vector, det_exact, is_orthogonal_to_all,
+                    parse_rows)
 from .fibk import best_k, check_admissible, fib_prefix
 
 _CERT_HEADER = "certificate"
@@ -102,42 +106,37 @@ def binarizing_transform(n: int, k: int) -> IntMatrix:
 
 
 def binary_rows(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of the binarized product: all entries 0/1, top row e_1.
+    """Rows of the binarized product transform @ seed: all entries 0/1, top row e_1.
 
-    Computed with the row-sum formula r_i = s_i + s_{i+k} + ... over the
-    seed rows s, as suffix sums r_i = s_i + r_{i+k} in plain ints.  An entry
-    outside {0, 1}, found by one C-level set union over the rows, is an
-    internal error, since the binarity of these rows is exactly what the
-    whole construction rests on.  oracle.verify_construction checks the
-    formula against the matrix product with binarizing_transform.
+    Row i >= 2 is 1 on columns max(i-k, 1)..n-k except on its chain
+    i, i+k, i+2k, ..., and 1 on the chain's one column past n-k; for
+    i > n-k that column is i itself, so those are the seed's finishing rows.
+    The rows hold only the literals 0 and 1.  oracle.verify_construction
+    (bindet selftest) checks this closed form against the matrix product of
+    binarizing_transform and seed_matrix, which it computes independently.
     """
-    seed = seed_matrix(n, k).rows
-    rows = list(seed)
-    for i in range(n - 1 - k, 0, -1):
-        rows[i] = tuple(map(add, seed[i], rows[i + k]))
-    bad = _first_non_binary(rows)
-    if bad is not None:
-        raise InternalInvariantError(
-            f"binarized row entry out of {{0,1}} at {bad[:2]} for n={n}, k={k}"
-        )
+    check_admissible(n, k)
+    rows = [(1,) + (0,) * (n - 1)]
+    for i in range(2, n + 1):
+        lo = max(i - k, 1)
+        m = (n - k - i) // k + 1  # chain columns i, i+k, ... up to n-k
+        row = [0] * (lo - 1) + [1] * (n - k - lo + 1) + [0] * k
+        row[i - 1:n - k:k] = [0] * m
+        row[i - 1 + m * k] = 1
+        rows.append(tuple(row))
     return tuple(rows)
 
 
 def orthogonal_vector(n: int, k: int) -> tuple[int, ...]:
     """Integer vector orthogonal to rows 2..n of the seed (and binarized) matrix.
 
-    v(1) = 1; v(i) for i <= n-k is the sum of the up-to-k preceding entries
-    (so the prefix is exactly F_k(1..n-k)); the last k entries are the
-    negated window sums forced by the finishing rows.
+    Its first n-k entries are F_k(1..n-k), from fib_prefix; each of the
+    last k entries, i = n-k+1..n, is the negated sum of entries i-k..n-k,
+    which the finishing row i forces.
     """
-    ConstructionParams(n, k)
-    v = [0] * (n + 1)
-    v[1] = 1
-    for i in range(2, n - k + 1):
-        v[i] = sum(v[max(i - k, 1):i])
-    for i in range(n - k + 1, n + 1):
-        v[i] = -sum(v[i - k:n - k + 1])
-    return tuple(v[1:])
+    check_admissible(n, k)
+    v = fib_prefix(k, n - k)
+    return tuple(v + [-sum(v[i - k - 1:]) for i in range(n - k + 1, n + 1)])
 
 
 def greedy_subset(weights: Sequence[int], target: int) -> tuple[int, ...]:

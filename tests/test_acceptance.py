@@ -88,7 +88,7 @@ def test_criterion_2_scaled_sweep():
 def test_criterion_3_row_and_orthogonality_grid():
     t0 = time.perf_counter()
     for n, k in GRID:
-        rows = binary_rows(n, k)  # raises if any entry leaves {0, 1}
+        rows = binary_rows(n, k)  # the closed form; the loop below checks its entries
         for row in rows:
             assert set(row) <= {0, 1}, (n, k)
         v = orthogonal_vector(n, k)

@@ -323,6 +323,16 @@ class TestFib:
         assert sys.get_int_max_str_digits() == limit
         assert len(out.split()[-1]) == 5225
 
+    def test_count_past_the_digit_cap_is_refused(self, capsys):
+        # The values would run to about 1.35e12 digits; the refusal comes
+        # before any of them is built.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "fib", "--k", "2", "--count", "3000000")
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and out == ""
+        assert err == ("error: fib values at count 3000000 may reach 1354636645365 digits; "
+                       "cap is 100000000 digits\n")
+
 
 class TestSpectrum:
     def test_exhaustive_n2(self, capsys):

@@ -110,37 +110,39 @@ class TestBinaryRows:
         assert rows[1] == expect
         assert set(expect) <= {0, 1}
 
-    def test_entry_outside_0_1_is_an_internal_error(self, monkeypatch):
+    def test_closed_form_is_transform_times_seed(self):
+        cases = [(n, k) for n in range(4, 81) for k in range(2, n // 2 + 1)]
+        for n, k in cases + [(128, best_k(128)), (256, best_k(256))]:
+            seed = seed_matrix(n, k).rows
+            product = []
+            for trow in binarizing_transform(n, k).rows:
+                acc = [0] * n
+                for t, s in zip(trow, seed):
+                    if t:
+                        acc = [a + t * x for a, x in zip(acc, s)]
+                product.append(tuple(acc))
+            assert binary_rows(n, k) == tuple(product), (n, k)
+
+    def test_seed_is_off_the_construct_path(self, monkeypatch, capsys):
+        # A 2 in seed row 2 would reach row 2 of transform @ seed, but
+        # neither binary_rows nor construct reads the seed.
+        argv = ["construct", "--n", "10", "--k", "3", "--det", "5", "--format", "structured"]
+        expect_rows = binary_rows(10, 3)
+        assert cli_main(argv) == 0
+        expect = capsys.readouterr()
         real_seed = construction.seed_matrix
 
         def bad_seed(n, k):
-            # r_2 = s_2 + s_5 + s_8, so a 2 in s_2 survives into r_2.
             rows = [list(r) for r in real_seed(n, k).rows]
             rows[1][0] = 2
             return IntMatrix(rows)
 
         monkeypatch.setattr(construction, "seed_matrix", bad_seed)
-        with pytest.raises(InternalInvariantError, match=r"out of \{0,1\} at \(1, 0\)"):
-            binary_rows(10, 3)
-
-    def test_non_binary_construction_row_exits_3(self, monkeypatch, capsys):
-        # construct meets the bad entry in its per-(n, k) pass, before any
-        # elimination, and names its position.
-        real_seed = construction.seed_matrix
-
-        def bad_seed(n, k):
-            rows = [list(r) for r in real_seed(n, k).rows]
-            rows[4][2] = 2  # r_2 and r_5 both sum s_5, so both hold a 2 in column 2
-            return IntMatrix(rows)
-
-        monkeypatch.setattr(construction, "seed_matrix", bad_seed)
         construction._normalized_rows.cache_clear()
         try:
-            assert cli_main(["construct", "--n", "10", "--k", "3", "--det", "5"]) == 3
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err == ("internal invariant failure: binarized row entry out of {0,1} "
-                           "at (1, 2) for n=10, k=3\n")
+            assert binary_rows(10, 3) == expect_rows
+            assert cli_main(argv) == 0
+            assert capsys.readouterr() == expect
         finally:
             construction._normalized_rows.cache_clear()
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bindet import _kernels, construction, oracle
+from bindet import _kernels, oracle
+from bindet.cli import main as cli_main
 from bindet.construction import _lower_rows
 from bindet import (
     DependentRowsError,
@@ -473,26 +474,25 @@ class TestVerifyConstruction:
             "row_formula_agreement": "row-sum formula disagrees with the matrix product"
         }
 
-    def test_row_formula_raise_is_reported(self, monkeypatch):
-        # A seed that makes binary_rows leave {0, 1} is a finding in the
-        # report, never an exception out of verify_construction.
-        real_seed = construction.seed_matrix
+    def test_non_binary_seed_is_reported(self, monkeypatch, capsys):
+        # A 2 in seed row 2 reaches row 2 of transform @ seed, which the
+        # closed form of binary_rows does not follow: both are findings in
+        # the report, never an exception out of verify_construction.
+        real_seed = oracle.seed_matrix
 
         def bad_seed(n, k):
             rows = [list(r) for r in real_seed(n, k).rows]
             rows[1][0] = 2
             return IntMatrix(rows)
 
-        monkeypatch.setattr(construction, "seed_matrix", bad_seed)
-        construction._normalized_rows.cache_clear()
-        try:
-            report = verify_construction(10, 3)
-        finally:
-            construction._normalized_rows.cache_clear()
-        check = next(c for c in report.checks if c.name == "row_formula_agreement")
-        assert not check.passed
-        assert "out of {0,1}" in check.detail
-        assert not report.all_passed
+        monkeypatch.setattr(oracle, "seed_matrix", bad_seed)
+        report = verify_construction(10, 3)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert failed["binary_entries"] == "entry (2, 1) = 2"
+        assert failed["row_formula_agreement"] == (
+            "row-sum formula disagrees with the matrix product")
+        assert cli_main(["selftest", "--n-max", "10", "--k-max", "3"]) == 3
+        assert capsys.readouterr().out.endswith("selftest: 0/12 cases passed\n")
 
     @pytest.mark.parametrize("changes, detail", [
         ([(0, 0, 2)], "entry (1, 1) = 2"),  # a weight, not a selection
