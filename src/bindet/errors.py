@@ -4,8 +4,8 @@
 class InternalInvariantError(RuntimeError):
     """An invariant that only an implementation bug can break was violated.
 
-    Examples: a fraction-free elimination step produced a nonzero remainder,
-    or a construction row that must be 0/1 fell outside {0, 1}.  This is
+    Examples: a fraction-free elimination step left a nonzero remainder, or
+    the cofactors of construction rows 2..n do not begin with F_k.  This is
     never caused by bad user input; the CLI maps it to exit status 3.
     """
 

@@ -18,8 +18,10 @@ stands in for alpha_k.  Only the bisection imports ``fractions``, so
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator
 
 from ._record import Record
 from .errors import InternalInvariantError
@@ -43,17 +45,22 @@ def check_admissible(n: int, k: int) -> None:
         raise ValueError(f"need n >= 2k, got n={n}, k={k}")
 
 
+def _fib_terms(k: int) -> Iterator[int]:
+    """F_k(1), F_k(2), ... without end, holding only the last k terms and their sum."""
+    window = deque([0] * (k - 1) + [1])  # F_k(2-k), ..., F_k(1)
+    total = 1  # the sum of the window, which is the next term
+    yield 1
+    while True:
+        x = total
+        total += x - window.popleft()
+        window.append(x)
+        yield x
+
+
 def fib_prefix(k: int, m: int) -> list[int]:
     """F_k(1), ..., F_k(m) as exact integers (empty list for m <= 0)."""
     _check_k(k)
-    vals: list[int] = []
-    window = 0  # F_k(j-k) + ... + F_k(j-1), which is F_k(j) for j >= 2
-    for j in range(1, m + 1):
-        x = 1 if j == 1 else window
-        vals.append(x)
-        # Terms with index <= 0 are zero, so nothing leaves the window early.
-        window += x - (vals[j - 1 - k] if j > k else 0)
-    return vals
+    return list(islice(_fib_terms(k), max(m, 0)))
 
 
 def fib_k(k: int, j: int) -> int:
@@ -61,7 +68,7 @@ def fib_k(k: int, j: int) -> int:
     _check_k(k)
     if j <= 0:
         return 0
-    return fib_prefix(k, j)[-1]
+    return next(islice(_fib_terms(k), j - 1, None))
 
 
 def theorem_bound(n: int, k: int) -> int:
@@ -71,7 +78,7 @@ def theorem_bound(n: int, k: int) -> int:
     would need columns left of column 1.
     """
     check_admissible(n, k)
-    return sum(fib_prefix(k, n - k))
+    return sum(islice(_fib_terms(k), n - k))  # the terms one at a time, not as a list
 
 
 @lru_cache(maxsize=None)

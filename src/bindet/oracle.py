@@ -15,7 +15,7 @@ sums with exact.subset_sums, so it needs no numpy.  The independent paths
 are the exhaustive oracle's cofactors from a prefix tree of shared minors
 (_kernels, imported by spectrum_exhaustive alone, as it loads numpy),
 det_permsum in the tests and perfbench/refimpl.py, which does not import
-bindet.  The reports are immutable ``_record.Record`` instances.
+bindet.  The reports are immutable ``_record.Record`` values, untimed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import io
 import math
 import os
 import random
-import time
 from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Sequence, TextIO
@@ -58,7 +57,7 @@ class SpectrumReport(Record):
     bitset.  values is built on first access; write streams without it.
     """
 
-    __slots__ = ("n", "mode", "lo", "s", "rest", "elapsed", "__dict__")  # for values
+    __slots__ = ("n", "mode", "lo", "s", "rest", "__dict__")  # for values
 
     @property
     def seen(self) -> int:  # bit v - lo is set for each reached value v
@@ -139,7 +138,6 @@ def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> Spectr
     largest size the tests run, is refused unless force is given, and
     above 7 (2.8e7 sets) before any work, as n = 8 means 1.6e10 sets.
     """
-    t0 = time.perf_counter()
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if workers < 1:
@@ -150,7 +148,7 @@ def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> Spectr
             f"n={_EXHAUSTIVE_MAX_N}, pass force to override up to n={_EXHAUSTIVE_FORCE_MAX_N}"
         )
     if n == 1:
-        return SpectrumReport(1, "exhaustive", 0, 1, 1, time.perf_counter() - t0)
+        return SpectrumReport(1, "exhaustive", 0, 1, 1)
 
     from . import _kernels  # loads numpy
 
@@ -175,7 +173,7 @@ def spectrum_exhaustive(n: int, workers: int = 1, force: bool = False) -> Spectr
         seen |= cells
     # Close under negation: the cell of -v mirrors that of v among the 2 n! + 1.
     seen |= int(format(seen, f"0{2 * offset + 1}b")[::-1], 2)
-    return SpectrumReport(n, "exhaustive", -offset, 0, seen, time.perf_counter() - t0)
+    return SpectrumReport(n, "exhaustive", -offset, 0, seen)
 
 
 def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
@@ -190,7 +188,6 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
     way sum(|C_j|) + 1 <= _FAMILY_MAX_CELLS = 2^28.  Rows of the wrong
     shape raise ValueError from cofactor_vector.
     """
-    t0 = time.perf_counter()
     n = len(rows) + 1
     if n < 2:
         raise ValueError("need at least one fixed row")
@@ -208,7 +205,7 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
         )
     s, rest = subset_sums(sorted(abs(c) for c in cof if c))
     s, rest = (s, 1) if rest == 1 else (0, widen(s, rest))
-    return SpectrumReport(n, "family", lo, s, rest, time.perf_counter() - t0)
+    return SpectrumReport(n, "family", lo, s, rest)
 
 
 def verify_laplace_identity(
@@ -240,14 +237,11 @@ def verify_laplace_identity(
 class CheckResult(Record):
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        super().__init__(name, passed, detail)
-
 
 class ConstructionCheckReport(Record):
     """Aggregated self-test of the construction at one (n, k)."""
 
-    __slots__ = ("n", "k", "checks", "targets_swept", "elapsed")
+    __slots__ = ("n", "k", "checks", "targets_swept")
 
     @property
     def all_passed(self) -> bool:
@@ -280,7 +274,6 @@ def verify_construction(
     sample) targets, sampled) sweep of targets through construct_matrix
     with exact certification.  Failures are reported, not raised.
     """
-    t0 = time.perf_counter()
     checks: list[CheckResult] = []
     swept = 0
 
@@ -300,9 +293,9 @@ def verify_construction(
 
     v = orthogonal_vector(n, k)
     ok = is_orthogonal_to_all(v, seed_rows[1:])
-    checks.append(CheckResult("orthogonality_seed", ok))
+    checks.append(CheckResult("orthogonality_seed", ok, ""))
     ok = is_orthogonal_to_all(v, rows[1:])
-    checks.append(CheckResult("orthogonality_binarized", ok))
+    checks.append(CheckResult("orthogonality_binarized", ok, ""))
 
     d = det_exact(rows)
     expect = -1 if (n - k - 1) % 2 else 1
@@ -331,4 +324,4 @@ def verify_construction(
         swept += 1
     checks.append(CheckResult("target_sweep", ok, detail))
 
-    return ConstructionCheckReport(n, k, tuple(checks), swept, time.perf_counter() - t0)
+    return ConstructionCheckReport(n, k, tuple(checks), swept)

@@ -1,5 +1,6 @@
 """CLI behavior: round trips, exit statuses, output stability."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -429,6 +430,16 @@ class TestSpectrum:
         assert code == 0
         assert "values" not in out
 
+    def test_pretty_summary_is_timed_by_the_cli(self, capsys, monkeypatch):
+        # The report holds no timing: the CLI reads its clock around the call.
+        monkeypatch.setattr(bindet.cli, "perf_counter", itertools.count(0, 1.25).__next__)
+        code, out, _ = run(capsys, "spectrum", "--n", "3")
+        assert code == 0
+        assert out.splitlines() == [
+            "exhaustive spectrum at n=3: 5 values, smallest missing natural 3 (1.25s)",
+            "values: -2 -1 0 1 2",
+        ]
+
 
 class TestSelftest:
     def test_small_grid_passes(self, capsys):
@@ -437,6 +448,15 @@ class TestSelftest:
                            "--format", "structured")
         assert code == 0
         assert "selftest:" in out and "pass n=8" in out
+
+    def test_pretty_pass_lines_are_timed_by_the_cli(self, capsys, monkeypatch):
+        monkeypatch.setattr(bindet.cli, "perf_counter", itertools.count(0, 0.5).__next__)
+        code, out, _ = run(capsys, "selftest", "--n-max", "5", "--k-max", "2",
+                           "--sweep-limit", "4")
+        assert code == 0
+        assert out.splitlines() == ["pass n=4 k=2 (5 targets, 0.50s)",
+                                    "pass n=5 k=2 (9 targets, 0.50s)",
+                                    "selftest: 2/2 cases passed"]
 
     @pytest.mark.parametrize("argv, swept", [
         (("--n-max", "5", "--sweep-limit", "4"), {4: 5, 5: 9}),

@@ -1,8 +1,8 @@
 """The declared runtime dependencies are exactly the third-party imports of src/bindet.
 
 Also: no module of src/bindet imports dataclasses, whose import (with
-inspect) cost more than the rest of `import bindet.cli`, and only the
-exhaustive kernel imports numpy.
+inspect) cost more than the rest of `import bindet.cli`, only the
+exhaustive kernel imports numpy, and only the CLI imports time.
 """
 
 import ast
@@ -55,3 +55,9 @@ def test_only_the_exhaustive_kernel_imports_numpy():
     # Every command but `spectrum --n` runs without numpy; this pins that boundary.
     found = imports_by_module()
     assert sorted(name for name, names in found.items() if "numpy" in names) == ["_kernels.py"]
+
+
+def test_only_the_cli_reads_the_clock():
+    # Reports are values; the CLI times the calls whose pretty lines print a time.
+    found = imports_by_module()
+    assert sorted(name for name, names in found.items() if "time" in names) == ["cli.py"]

@@ -1,6 +1,7 @@
 """k-step sequences, the growth root, and the derived bounds."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -46,12 +47,16 @@ class TestFibK:
             fib_k(1, 5)
 
     def test_prefix_matches_the_window_sum_definition(self):
-        for k in range(2, 13):
+        # Through every entry point that reads the k-term stream.
+        for k in range(2, 17):
             vals = []
-            for j in range(1, 81):
+            for j in range(1, 401):
                 vals.append(1 if j == 1 else sum(vals[max(0, j - 1 - k):j - 1]))
-            for m in range(81):
+            for m in range(401):
                 assert fib_prefix(k, m) == vals[:m]
+                assert fib_k(k, m) == (vals[m - 1] if m else 0)
+                if m >= k:
+                    assert theorem_bound(m + k, k) == sum(vals[:m])
 
 
 class TestTheoremBound:
@@ -73,6 +78,16 @@ class TestTheoremBound:
         for k in (2, 3, 5):
             bounds = [theorem_bound(n, k) for n in range(2 * k, 40)]
             assert all(b < c for b, c in zip(bounds, bounds[1:]))
+
+    def test_holds_k_terms_not_the_prefix(self):
+        # Summing F_2(1..19998) as a list peaked at about 18 MiB.
+        tracemalloc.start()
+        try:
+            theorem_bound(20000, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestAlphaK:

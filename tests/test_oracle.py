@@ -212,7 +212,7 @@ class TestStreamedDocument:
         spectrum_exhaustive(1).write(out)
         assert out.getvalue() == "spectrum\nn 1\nmode exhaustive\ncount 2\nd 2\nvalues 0 1\nend\n"
         # No cell set: the values line keeps its single space.
-        empty = oracle.SpectrumReport(2, "family", -4, 0, 0, 0.0)
+        empty = oracle.SpectrumReport(2, "family", -4, 0, 0)
         assert empty.to_text() == "spectrum\nn 2\nmode family\ncount 0\nd 1\nvalues \nend\n"
         out = io.StringIO()
         empty.write_values(out)
@@ -310,7 +310,7 @@ class TestRunForm:
         r = spectrum_family(rows)
         cof = cofactor_vector(rows)
         seen, lo = _mask_then_shift_ors(cof), sum(c for c in cof if c < 0)
-        old = oracle.SpectrumReport(r.n, "family", lo, 0, seen, 0.0)
+        old = oracle.SpectrumReport(r.n, "family", lo, 0, seen)
         run = seen >> (1 - lo)
         assert r.rest == 1 or r.s == 0
         assert (r.lo, r.seen, r.count) == (lo, seen, seen.bit_count())

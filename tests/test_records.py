@@ -12,9 +12,11 @@ from bindet import (
     ConstructionParams,
     IntMatrix,
     SpectrumReport,
+    binary_rows,
     bound_table,
     construct_matrix,
     spectrum_exhaustive,
+    spectrum_family,
     verify_certificate,
     verify_construction,
 )
@@ -40,14 +42,14 @@ RECORDS = {
     ),
     "SpectrumReport": (
         SpectrumReport,
-        ("n", "mode", "lo", "s", "rest", "elapsed"),
-        (2, "family", -1, 0, 0b101, 0.5),  # the values -1 and 1
+        ("n", "mode", "lo", "s", "rest"),
+        (2, "family", -1, 0, 0b101),  # the values -1 and 1
     ),
     "CheckResult": (CheckResult, ("name", "passed", "detail"), ("unit_determinant", False, "got 2")),
     "ConstructionCheckReport": (
         ConstructionCheckReport,
-        ("n", "k", "checks", "targets_swept", "elapsed"),
-        (SELFTEST.n, SELFTEST.k, SELFTEST.checks, SELFTEST.targets_swept, SELFTEST.elapsed),
+        ("n", "k", "checks", "targets_swept"),
+        (SELFTEST.n, SELFTEST.k, SELFTEST.checks, SELFTEST.targets_swept),
     ),
 }
 
@@ -73,9 +75,8 @@ def test_wrong_arguments_raise_type_error(record):
         cls(*values, unknown=0)
     with pytest.raises(TypeError):
         cls(*values, **{fields[0]: values[0]})
-    if cls is not CheckResult:  # detail has a default
-        with pytest.raises(TypeError):
-            cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
 
 
 def test_fields_cannot_be_assigned_or_deleted(record):
@@ -144,10 +145,10 @@ def test_spectrum_report_compares_by_its_bitset():
 
 def test_a_spectrum_run_holds_no_bitset():
     # rest = 1 is the run [lo, lo + s]; seen is derived from it, not held.
-    run = SpectrumReport(3, "family", -2, 4, 1, 0.0)
+    run = SpectrumReport(3, "family", -2, 4, 1)
     assert run.values == (-2, -1, 0, 1, 2) and run.count == 5 and run.d == 3
-    assert run.seen == 0b11111 and run._astuple() == (3, "family", -2, 4, 1, 0.0)
-    assert SpectrumReport(3, "family", -5, 4, 1, 0.0).d == 1
+    assert run.seen == 0b11111 and run._astuple() == (3, "family", -2, 4, 1)
+    assert SpectrumReport(3, "family", -5, 4, 1).d == 1
 
 
 def test_spectrum_values_are_computed_once():
@@ -160,9 +161,16 @@ def test_spectrum_values_are_computed_once():
     assert r.values is first
 
 
-def test_check_result_detail_defaults_to_empty():
-    assert CheckResult("orthogonality_seed", True) == CheckResult("orthogonality_seed", True, "")
-    assert CheckResult(name="x", passed=False).detail == ""
+def test_reports_are_values():
+    # A report holds results and no timing: equal results are equal reports.
+    assert SpectrumReport._fields == ("n", "mode", "lo", "s", "rest")
+    assert ConstructionCheckReport._fields == ("n", "k", "checks", "targets_swept")
+    assert "__init__" not in vars(CheckResult)  # every field is passed, detail too
+    rows = binary_rows(12, 3)[1:]
+    for make in (lambda: spectrum_exhaustive(4), lambda: spectrum_family(rows),
+                 lambda: verify_construction(10, 3)):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 def test_validation_on_construction():
