@@ -1,28 +1,39 @@
 """Exact linear algebra over arbitrary-precision integers.
 
-Determinants and cofactors share one fraction-free (Bareiss) single-step
-elimination routine, ``_eliminate``: every intermediate value is a minor of
-the input matrix, so all interior divisions are exact and no rational
-arithmetic is needed.  ``det_exact`` eliminates the square matrix itself.
-``cofactor_vector`` eliminates its n-1 rows alone and recovers the cofactors
-by Cramer back substitution: their kernel vector, scaled so that its free
-entry is the maximal minor on the pivot columns, is integral.  Columns
-are swept from the last to the first; undoing that reversal of n columns
-is the sign (-1)^(n(n-1)/2).  The construction's rows are B_i = S_i +
-B_{i+k}, with S lower-triangular and a +-1 diagonal, so row i minus row
-i+k is the seed row S_i, whose last nonzero entry is its diagonal: swept
-from the last column they eliminate with +-1 pivots and entries in
-{-1, 0, 1}, and from the first they fill in and divide by growing pivots.
+Determinants and cofactors share one elimination routine, ``_eliminate``.
+``det_exact`` eliminates the square matrix itself.  ``cofactor_vector``
+eliminates its n-1 rows alone and recovers the cofactors by Cramer back
+substitution: their kernel vector, scaled so that its free entry is the
+maximal minor on the pivot columns, is integral.  Columns are swept from
+the last to the first; undoing that reversal of n columns is the sign
+(-1)^(n(n-1)/2).
+
+The elimination runs in two phases.  The unit phase (``_unit_phase``)
+keeps each row in a bucket keyed by its leading column.  Along the current
+column's bucket, while the leads are +-1, it subtracts (or adds) each
+row's successor from it and pivots on the last; a row led by another
+value subtracts that multiple of the pivot.  These are unimodular steps
+with no scan and no division.  At the first column whose bucket has no
++-1 lead, the rows left are zero in every earlier column, and a
+fraction-free (Bareiss) single-step elimination takes them from there with
+prev = 1: every intermediate value is a minor of that block, so all its
+interior divisions are exact and no rational arithmetic is needed.  The
+construction's rows are B_i = S_i + B_{i+k}, with S lower-triangular and a
++-1 diagonal, so row i minus row i+k is the seed row S_i, whose last
+nonzero entry is its diagonal: swept from the last column they finish in
+the unit phase with entries in {-1, 0, 1}, and from the first they fill in
+and divide by growing pivots.
 
 Rows are lists of Python ints end to end, with no numpy, so results are
-exact at any magnitude and importing this module stays cheap.  A row that
-is zero in the pivot column is not rescaled but left to catch up at its
-next real update, which on sparse 0/1 matrices skips most of the work.
-Exactness is checked once per row: floor remainders all take the divisor's
-sign, so a row divides exactly iff the sum of its numerators equals the
-divisor times the sum of its quotients, and each row's sum is carried
-beside it.  A division by 1 is exact, so it is skipped with its check,
-and +-1 steps (see _reduce_row) add or subtract whole rows at C speed.
+exact at any magnitude and importing this module stays cheap.  In the
+Bareiss phase, a row that is zero in the pivot column is not rescaled but
+left to catch up at its next real update, which on sparse 0/1 matrices
+skips most of the work.  Exactness is checked once per row: floor
+remainders all take the divisor's sign, so a row divides exactly iff the
+sum of its numerators equals the divisor times the sum of its quotients,
+and each row's sum is carried beside it.  A division by 1 is exact, so it
+is skipped with its check, and +-1 steps (see _reduce_row) add or
+subtract whole rows at C speed.
 
 Entries are taken through ``operator.index``: ints, bools and numpy
 integers pass, while a float or a string raises TypeError instead of being
@@ -44,7 +55,7 @@ holds ASCII decimal entries as ``str(int)`` writes them, single-spaced.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, compress, count
 from operator import add, index, mul, neg, sub
 from typing import Iterable, Sequence
 
@@ -178,17 +189,107 @@ def _reduce_row(row: list[int], row_sum: int, top: list[int], top_sum: int,
     return quo, quo_sum
 
 
+def _unit_phase(a: list[list[int]], width: int):
+    """Pivot a's rows on +-1 leads by unimodular row steps alone, from column 0 on.
+
+    Each row sits in the bucket of its lead, its first nonzero column.  In
+    column c's bucket, each row of the prefix led by +-1 but its last
+    becomes itself minus (or plus) its successor there, which zeroes column
+    c and moves it to the bucket of its new lead; the prefix's last row is
+    the pivot.  Each row after the prefix, led by some other f, subtracts
+    f times the pivot (times its lead, +-1); with no prefix, the first
+    +-1-led row of the bucket is the pivot.  This needs no scan, no
+    division and no sum.  It stops at the first bucket with no +-1 lead,
+    where the rows not yet pivoted are zero in every column before it: the
+    rest of the elimination then starts afresh on them, whose determinant
+    is unchanged by the steps.
+
+    Changed rows are written back into a.  Returns (sign, pivots, rows):
+    the unit pivots' columns, the pivot rows in that order followed by the
+    others in their order in a, and sign, the product of the unit pivots and
+    the sign of that reordering; or None when the rank is below len(a).
+    """
+    m = len(a)
+    buckets: list[list[int]] = [[] for _ in range(width + 1)]  # bucket width: zero rows
+    for i, row in enumerate(a):
+        buckets[0 if row[0] else next(compress(count(), row), width)].append(i)
+    if buckets[width]:
+        return None
+    order: list[int] = []
+    pivots: list[int] = []
+    sign = 1
+    for c in range(width):  # past the m-th pivot, every bucket is empty
+        b = buckets[c]
+        if not b:
+            if c + 1 - len(order) > width - m:
+                return None  # too few columns left for m pivots
+            continue
+        i = b[0]
+        x = a[i][c]
+        rest = x != 1 and x != -1  # rows left led at c, once the chain stops
+        if rest:
+            i = next((j for j in b if a[j][c] == 1 or a[j][c] == -1), -1)
+            if i < 0:
+                break
+            x = a[i][c]
+        else:
+            for j in b[1:]:
+                y = a[j][c]
+                if y != 1 and y != -1:
+                    rest = True
+                    break
+                row = a[i] = list(map(sub if x == y else add, a[i], a[j]))
+                # Zero up to column c; a dense row most often leads at c + 1.
+                lead = c + 1 if c + 1 < width and row[c + 1] else next(compress(count(), row), width)
+                if lead == width:
+                    return None
+                buckets[lead].append(i)
+                i, x = j, y
+        if rest:
+            top = a[i]
+            for j in b:
+                f = a[j][c] * x  # 0 for the chained rows
+                if not f or j == i:
+                    continue
+                row = a[j] = (list(map(sub, a[j], top)) if f == 1 else
+                              list(map(add, a[j], top)) if f == -1 else
+                              [u - f * v for u, v in zip(a[j], top)])
+                lead = c + 1 if c + 1 < width and row[c + 1] else next(compress(count(), row), width)
+                if lead == width:
+                    return None
+                buckets[lead].append(j)
+        order.append(i)
+        pivots.append(c)
+        if x < 0:
+            sign = -sign
+    if len(order) < m:
+        pivoted = set(order)
+        order += [i for i in range(m) if i not in pivoted]
+    seen = bytearray(m)  # the reordering's sign: -1 per cycle of even length
+    for i in range(m):
+        if not seen[i]:
+            j = order[i]
+            while j != i:
+                seen[j] = 1
+                sign = -sign
+                j = order[j]
+    return sign, pivots, [a[i] for i in order]
+
+
 def _eliminate(rows: Sequence[Sequence[int]]):
     """Fraction-free elimination of m rows of width n >= m, last column first.
 
     Rows are read reversed: swept column c is column n-1-c, and the result
-    is in swept coordinates.  Per column, one pass lists the rows not yet
-    used as pivots that are nonzero there: the first is the pivot and the
-    rest are updated from column c on; a column without one is skipped.
-    Each row's entry sum is carried beside it for _reduce_row's check.
-    Returns the sign of the row swaps, the m pivot columns and the reduced
-    rows as lists of ints, whose row t is the Bareiss pivot row of step t;
-    or None when the rank is below m.
+    is in swept coordinates.  _unit_phase pivots the leading columns that
+    have a +-1 lead; from the first column where it stops, the Bareiss
+    loop takes the rows it left with prev = 1.  Per column, one pass lists
+    the rows not yet used as pivots that are nonzero there: the first is
+    the pivot and the rest are updated from column c on; a column without
+    one is skipped.  Each row's entry sum is carried beside it for
+    _reduce_row's check.  Returns (minor, pivots, rows): the determinant of
+    the rows' m pivot columns, those columns, and the reduced rows as lists
+    of ints, whose row t is the pivot row of step t; or None when the rank
+    is below m.
 
     A Bareiss step multiplies a row that is zero in the pivot column by
     piv / prev, so over a run of such steps the factors telescope.  Such a
@@ -198,18 +299,22 @@ def _eliminate(rows: Sequence[Sequence[int]]):
     reduces to (row * piv - f * top) / div.
     """
     a = [list(map(index, reversed(row))) for row in rows]
-    sums = list(map(sum, a))
     m = len(a)
     width = len(a[0]) if a else 0
+    unit = _unit_phase(a, width)
+    if unit is None:
+        return None
+    sign, pivots, a = unit
+    if len(pivots) == m:
+        return sign, pivots, a
+    sums = list(map(sum, a))
     div = [1] * m
-    sign = 1
     prev = 1
-    pivots: list[int] = []
     # Every row not yet pivoted is zero before column c: an earlier pivot
     # column is eliminated below its pivot, and a skipped column is zero in
     # every such row, whose later updates combine only such rows.  So the
     # updates slice at c, and the carried sums are the slices' sums.
-    for c in range(width):
+    for c in range(pivots[-1] + 1 if pivots else 0, width):
         t = len(pivots)
         if t == m:
             break
@@ -238,15 +343,18 @@ def _eliminate(rows: Sequence[Sequence[int]]):
             div[i] = piv
         pivots.append(c)
         prev = piv
-    return sign, pivots, a
+    # On the pivot columns the rows are block triangular: sign holds the
+    # unit block's determinant, and the last Bareiss pivot is the other's.
+    return sign * prev, pivots, a
 
 
 def det_exact(m: "IntMatrix | Sequence[Sequence[int]]") -> int:
     """Exact determinant of a square integer matrix.
 
-    Fraction-free single-step elimination with first-nonzero row pivoting.
-    Interior divisions are asserted remainder-free; a failure there raises
-    InternalInvariantError (it would mean a bug, not bad input).
+    Unit pivots first, then fraction-free single-step elimination with
+    first-nonzero row pivoting (see _eliminate).  Interior divisions are
+    asserted remainder-free; a failure there raises InternalInvariantError
+    (it would mean a bug, not bad input).
     """
     rows = m.rows if isinstance(m, IntMatrix) else m
     n = len(rows)
@@ -255,9 +363,8 @@ def det_exact(m: "IntMatrix | Sequence[Sequence[int]]") -> int:
     reduced = _eliminate(rows)
     if reduced is None:
         return 0
-    sign, _, a = reduced
     # Undo the reversal of the n swept columns.
-    return (-sign if n % 4 > 1 else sign) * a[-1][-1]
+    return -reduced[0] if n % 4 > 1 else reduced[0]
 
 
 def dot(u: Sequence[int], w: Sequence[int]) -> int:
@@ -277,7 +384,10 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     vector, which callers must detect.
 
     Runs in O(n^3): the n-1 rows are eliminated alone, then back
-    substitution solves for their kernel vector scaled by a maximal minor.
+    substitution through their +-1 unit rows and Bareiss rows alike solves
+    for their kernel vector, scaled by the maximal minor on the pivot
+    columns: up to the sign of the row order, the unit pivots' product
+    times the last Bareiss pivot.
     """
     m = len(rows)
     n = m + 1
@@ -286,24 +396,26 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     reduced = _eliminate(rows)
     if reduced is None:
         return (0,) * n
-    sign, pivots, a = reduced
+    minor, pivots, a = reduced
     # In swept coordinates the reduced rows are echelon in the pivot columns,
     # and the one non-pivot column j0 is zero in every row pivoted after it.
-    # Fixing x[j0] to the last pivot, the maximal minor on the pivot columns,
-    # makes the kernel vector integral (Cramer): each pivot divides exactly.
+    # Fixing x[j0] to the maximal minor on the pivot columns makes the kernel
+    # vector integral (Cramer): each pivot, +-1 or Bareiss, divides exactly.
     j0 = n * m // 2 - sum(pivots)  # the one column of n missing from the m pivots
     x = [0] * n
-    x[j0] = a[-1][pivots[-1]] if m else 1
+    x[j0] = minor
     for t in range(m - 1, -1, -1):
+        # Row t is zero before its pivot column p, and x[p] is still 0.
         row, p = a[t], pivots[t]
-        q, r = divmod(-sum(map(mul, row[p + 1:], x[p + 1:])), row[p])
-        if r:
-            raise InternalInvariantError("back substitution left a nonzero remainder")
+        q, d = -sum(map(mul, row, x)), row[p]
+        if d != 1:
+            q, r = divmod(q, d)
+            if r:
+                raise InternalInvariantError("back substitution left a nonzero remainder")
         x[p] = q
-    # The last pivot is sign * det(swept rows[:, pivots]), and the swept
-    # cofactor C'[j0] is (-1)^j0 times that minor, so C' is the kernel
-    # vector with that entry; C is C' reversed, times the reversal's sign.
-    s = -sign if (j0 % 2) ^ (n % 4 > 1) else sign
+    # The swept cofactor C'[j0] is (-1)^j0 times that minor, so C' is the
+    # kernel vector with that entry; C is C' reversed, times the reversal's sign.
+    s = -1 if (j0 % 2) ^ (n % 4 > 1) else 1
     return tuple(reversed(x) if s == 1 else map(neg, reversed(x)))
 
 

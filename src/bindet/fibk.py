@@ -166,16 +166,20 @@ def corollary_bound(n: int) -> int:
     return (1 << n) // (201 * n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # a C-level hit on every default-k construction
 def best_k(n: int) -> int:
     """The step count maximizing theorem_bound(n, k), ties toward smaller k.
 
     Scans k = 2, 3, ... up to n // 2, so it never does worse than the
     floor(log2 n) rule, and stops once 2^(n-k-1) is at most the best bound
     so far: F_k(j) <= 2^(j-2) gives theorem_bound(n, k) <= 2^(n-k-1), which
-    falls as k grows.  Memoized per n, since every default-k construction
-    asks for it.
+    falls as k grows.  Memoized per n, with its bound for bound_table.
     """
+    return _best_k_and_bound(n)[0]
+
+
+@lru_cache(maxsize=None)
+def _best_k_and_bound(n: int) -> tuple[int, int]:
     if n < 4:
         raise ValueError(f"need n >= 4 for an admissible k, got {n}")
     best = 2
@@ -186,7 +190,7 @@ def best_k(n: int) -> int:
         b = theorem_bound(n, k)
         if b > best_bound:
             best, best_bound = k, b
-    return best
+    return best, best_bound
 
 
 class BoundTable(Record):
@@ -200,6 +204,12 @@ class BoundTable(Record):
 
 
 def bound_table(n: int, k: int | None = None) -> BoundTable:
+    """The bounds at (n, k), k = best_k(n) by default, whose bound is reused."""
+    if k is not None:
+        check_admissible(n, k)  # ahead of best_k's check on n, as theorem_bound(n, k) was
+    best, bound = _best_k_and_bound(n)
     if k is None:
-        k = best_k(n)
-    return BoundTable(n, k, theorem_bound(n, k), corollary_bound(n), alpha_k(k), best_k(n))
+        k = best
+    elif k != best:
+        bound = theorem_bound(n, k)
+    return BoundTable(n, k, bound, corollary_bound(n), alpha_k(k), best)

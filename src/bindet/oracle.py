@@ -181,12 +181,12 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
 
     The cofactors C of the fixed rows are computed exactly.  The reached
     values are the subset sums of C, which are those of |C| shifted down by
-    lo, the sum of the negative C_j: exact.subset_sums over the nonzero
-    |C_j| in increasing order gives the end s of their complete prefix and
-    the bitset of the sums after it.  With none after it, the report is the
-    run [lo, lo + s]; else that bitset is widened by [0, s] here.  Either
-    way sum(|C_j|) + 1 <= _FAMILY_MAX_CELLS = 2^28.  Rows of the wrong
-    shape raise ValueError from cofactor_vector.
+    lo, the sum of the negative C_j: exact.subset_sums over the |C_j| in
+    increasing order (the zeros a harmless prefix) gives the end s of their
+    complete prefix and the bitset of the sums after it.  With none after
+    it, the report is the run [lo, lo + s]; else that bitset is widened by
+    [0, s] here.  Either way sum(|C_j|) + 1 <= _FAMILY_MAX_CELLS = 2^28.
+    Rows of the wrong shape raise ValueError from cofactor_vector.
     """
     n = len(rows) + 1
     if n < 2:
@@ -197,13 +197,14 @@ def spectrum_family(rows: Sequence[Sequence[int]]) -> SpectrumReport:
         )
 
     cof = cofactor_vector(rows)
-    lo = sum(c for c in cof if c < 0)
-    size = sum(map(abs, cof)) + 1
+    mags = sorted(map(abs, cof))
+    size = sum(mags) + 1
     if size > _FAMILY_MAX_CELLS:
         raise EnumerationCapError(
             f"value range exceeds the bitmap cap of {_FAMILY_MAX_CELLS} cells"
         )
-    s, rest = subset_sums(sorted(abs(c) for c in cof if c))
+    lo = (sum(cof) - size + 1) // 2  # the negative C_j's sum: (sum C - sum |C|) / 2
+    s, rest = subset_sums(mags)
     s, rest = (s, 1) if rest == 1 else (0, widen(s, rest))
     return SpectrumReport(n, "family", lo, s, rest)
 

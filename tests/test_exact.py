@@ -249,10 +249,10 @@ class TestCofactorVector:
             assert det_exact([unit, *rows]) == cof[j]
 
     def test_inexact_back_substitution_is_an_invariant_failure(self, monkeypatch):
-        # An echelon form that is not the Bareiss one: x = (?, -1, 3) leaves
-        # -3 to be divided by the first pivot, 2.
+        # An echelon form that is not the Bareiss one: with the minor 3 as
+        # x[2], x = (?, -1, 3) leaves -3 to be divided by the first pivot, 2.
         monkeypatch.setattr(exact, "_eliminate",
-                            lambda rows: (1, [0, 1], [[2, 0, 1], [0, 3, 1]]))
+                            lambda rows: (3, [0, 1], [[2, 0, 1], [0, 3, 1]]))
         with pytest.raises(InternalInvariantError, match="remainder"):
             cofactor_vector([(2, 0, 1), (0, 3, 1)])
 
@@ -370,8 +370,9 @@ def test_row_reduction_raises_iff_a_remainder_is_left(pairs, piv, f, d, scale):
 
 # The (19, 4) construction rows, each mirrored: swept from the last column,
 # they eliminate step for step as the rows themselves would from the first,
-# dividing by Bareiss pivots other than 1.  The rows themselves divide by
-# +-1 only (test_construction_rows_eliminate_with_unit_pivots).
+# leaving the unit phase for Bareiss pivots other than 1.  The rows
+# themselves finish in the unit phase
+# (test_construction_rows_eliminate_with_unit_pivots).
 MIRRORED_19_4 = tuple(row[::-1] for row in binary_rows(19, 4)[1:])
 
 
@@ -419,39 +420,99 @@ def test_a_corrupted_carried_sum_exits_3(monkeypatch, capsys, tmp_path):
     assert err.startswith("internal invariant failure:")
 
 
+def _wrap_unit_phase(monkeypatch):
+    """List of (outcome, rows after the call, result), one per _unit_phase call.
+
+    outcome says where the phase left the elimination: "to the end",
+    "part-way", "at the first column" (before any unit pivot), "zero row"
+    when one of its steps zeroed a row, or "rank" for the other exits on a
+    rank below the row count.
+    """
+    unit_phase, calls = exact._unit_phase, []
+
+    def wrapped(a, width):
+        had_zero_row = not all(map(any, a))
+        out = unit_phase(a, width)
+        if out is None:
+            outcome = "zero row" if not had_zero_row and not all(map(any, a)) else "rank"
+        else:
+            t = len(out[1])
+            outcome = "to the end" if t == len(a) else "part-way" if t else "at the first column"
+        calls.append((outcome, [list(row) for row in a], out))
+        return out
+
+    monkeypatch.setattr(exact, "_unit_phase", wrapped)
+    return calls
+
+
 def test_construction_rows_eliminate_with_unit_pivots(monkeypatch):
     # Row i minus row i+k of a construction is the seed row S_i, whose last
     # nonzero entry is its +-1 diagonal.  Swept from the last column, that
-    # keeps every divisor +-1 and every entry in {-1, 0, 1}; swept from the
-    # first, it would not (MIRRORED_19_4 above).
-    divisors, entries = _wrap_reduce_row(monkeypatch, corrupt=False)
+    # keeps every lead +-1 and every entry in {-1, 0, 1}, so the unit phase
+    # pivots every row, also under a unit top row; swept from the first,
+    # it would not (MIRRORED_19_4 above).
+    calls = _wrap_unit_phase(monkeypatch)
+    divisors, _ = _wrap_reduce_row(monkeypatch, corrupt=False)
     for n in range(4, 41):
         unit = (1,) + (0,) * (n - 1)
         for k in range(2, n // 2 + 1):
             for rows in _lower_rows(n, k):
                 cofactor_vector(rows)
                 det_exact([unit, *rows])
-    assert divisors and set(divisors) <= {1, -1} and entries <= {-1, 0, 1}
+    assert {outcome for outcome, _, _ in calls} == {"to the end"} and not divisors
+    assert set().union(*(set().union(*rows) for _, rows, _ in calls)) == {-1, 0, 1}
 
 
 def test_construction_rows_divide_by_one_alone(monkeypatch):
-    # Their pivots are 1 (once -1, updating no row), so every update
-    # divides by 1 and runs as a +-1 step, with no division and no check.
+    # Every admissible (n, k) up to 80, in both orders, finishes in the unit
+    # phase: no row reaches _reduce_row, so nothing is divided or checked.
+    calls = _wrap_unit_phase(monkeypatch)
     divisors, _ = _wrap_reduce_row(monkeypatch, corrupt=False)
     for n in range(4, 81):
         for k in range(2, n // 2 + 1):
             for rows in _lower_rows(n, k):
                 cofactor_vector(rows)
-    assert set(divisors) == {1}
+    assert len(calls) == sum(2 * (n // 2 - 1) for n in range(4, 81))
+    assert {outcome for outcome, _, _ in calls} == {"to the end"} and not divisors
+
+
+SMALL_MATRICES = st.tuples(
+    st.integers(1, 7), st.sampled_from([(0, 1), (-1, 0, 1), tuple(range(-2, 4))])
+).flatmap(lambda spec: st.lists(st.tuples(*[st.sampled_from(spec[1])] * spec[0]),
+                                min_size=spec[0], max_size=spec[0]))
+
+
+def test_unit_phase_matches_permutation_sums(monkeypatch):
+    calls = _wrap_unit_phase(monkeypatch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(SMALL_MATRICES)
+    # Swept from the last column, the unit phase pivots every row; leaves at
+    # the third column, led by 2 alone; leaves at once, led by 2 and 3; and
+    # zeroes the first row by a chain step.  Above a lead of 1, a lead of 2
+    # subtracts twice that pivot, then leads at the second column with -2.
+    @example([(1, 0), (0, 1)])
+    @example([(2, 0, 1), (1, 1, 0), (0, 0, 1)])
+    @example([(0, 2), (1, 3)])
+    @example([(1, 1), (1, 1)])
+    @example([(0, 2), (1, 1)])
+    def check(rows):
+        assert det_exact(rows) == det_permsum(rows)
+        assert cofactor_vector(rows[1:]) == cofactors_permsum(rows[1:])
+
+    check()
+    assert {outcome for outcome, _, _ in calls} >= {
+        "to the end", "part-way", "at the first column", "zero row"}
 
 
 def _count_unit_steps(monkeypatch):
-    """Counter of the core's +-1 branches taken, each checked to run as it should.
+    """Counter of the Bareiss loop's +-1 branches taken, each checked to run as it should.
 
     A row update through a branch must make one add or sub per entry and
-    nothing else; a single-hit column is a pivot column that updates no row.
+    nothing else; a single-hit column is a Bareiss pivot column that
+    updates no row.
     """
-    taken, ops, tops = collections.Counter(), collections.Counter(), []
+    taken, ops, tops, units = collections.Counter(), collections.Counter(), [], []
 
     def counted(name, op):
         def call(*args):
@@ -461,7 +522,7 @@ def _count_unit_steps(monkeypatch):
 
     for name in ("add", "sub", "neg"):
         monkeypatch.setattr(exact, name, counted(name, getattr(exact, name)))
-    reduce_row, eliminate = exact._reduce_row, exact._eliminate
+    reduce_row, eliminate, unit_phase = exact._reduce_row, exact._eliminate, exact._unit_phase
 
     def wrapped_reduce_row(row, row_sum, top, top_sum, piv, f, d):
         before = ops.copy()
@@ -474,17 +535,23 @@ def _count_unit_steps(monkeypatch):
             tops.append(top)  # kept alive, so that each column's top has its own id
         return out
 
+    def wrapped_unit_phase(a, width):
+        out = unit_phase(a, width)
+        units.append(0 if out is None else len(out[1]))
+        return out
+
     def wrapped_eliminate(rows):
         tops.clear()
         negated = ops["neg"]
         out = eliminate(rows)
         if ops["neg"] > negated:
             taken["negated pivot row"] += 1
-        if out is not None and len(out[1]) > len(set(map(id, tops))):
+        if out is not None and len(out[1]) - units[-1] > len(set(map(id, tops))):
             taken["single hit"] += 1
         return out
 
     monkeypatch.setattr(exact, "_reduce_row", wrapped_reduce_row)
+    monkeypatch.setattr(exact, "_unit_phase", wrapped_unit_phase)
     monkeypatch.setattr(exact, "_eliminate", wrapped_eliminate)
     return taken
 
@@ -499,13 +566,15 @@ def test_unit_steps_match_permutation_sums(monkeypatch):
 
     @settings(max_examples=300, deadline=None)
     @given(UNIT_ENTRY_MATRICES)
-    # Swept from the last column: piv 1 with f 1, then with f -1; piv -1
-    # with f -1; and a -1 pivot in a single-hit column that leaves the next
+    # Swept from the last column, each leaves the unit phase at once, led
+    # by 2 and 3, and the Bareiss loop pivots on the 2.  Then, on a row the
+    # first step left alone: piv 1 with f 1, then with f -1; piv -1 with
+    # f -1; and a -2 pivot in a single-hit column that leaves the next
     # pivot row to be negated.
-    @example([(0, 1), (1, 1)])
-    @example([(0, 1), (1, -1)])
-    @example([(1, -1), (0, -1)])
-    @example([(0, 0, -1), (0, 1, 0), (1, 0, 0)])
+    @example([(0, 1, 2), (0, 2, 3), (1, 1, 0)])
+    @example([(0, 1, 2), (0, 2, 3), (1, -1, 0)])
+    @example([(0, 1, 2), (0, 1, 3), (1, -1, 0)])
+    @example([(0, 0, 0, 2), (0, 1, 0, 3), (0, 0, -1, 0), (1, 0, 0, 0)])
     def check(rows):
         assert det_exact(rows) == det_permsum(rows)
         assert cofactor_vector(rows[1:]) == cofactors_permsum(rows[1:])

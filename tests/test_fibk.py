@@ -1,5 +1,6 @@
 """k-step sequences, the growth root, and the derived bounds."""
 
+import collections
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ from bindet import (
     fib_prefix,
     theorem_bound,
 )
+from bindet import fibk
 from bindet.fibk import _alpha_bracket
 
 
@@ -209,3 +211,38 @@ def test_bound_table_fields():
     assert t.theorem_bound == theorem_bound(16, t.k)
     assert t.corollary_bound == 20
     assert 1 < float(t.alpha) < 2
+
+
+def test_bound_table_streams_each_k_at_most_once(monkeypatch):
+    # best_k's scan sums the terms of each k it tries once; bound_table
+    # reuses the best k's bound rather than streaming that k again.
+    passes = collections.Counter()
+    terms = fibk._fib_terms
+
+    def counted(k):
+        passes[k] += 1
+        return terms(k)
+
+    monkeypatch.setattr(fibk, "_fib_terms", counted)
+    fibk._best_k_and_bound.cache_clear()
+    for n in (4, 10, 64, 257):
+        passes.clear()
+        table = bound_table(n)
+        assert passes and set(passes.values()) == {1}, n
+        passes.clear()
+        assert bound_table(n, table.k) == table and not passes
+        other = 2 if table.k > 2 else 3
+        if 2 * other <= n:
+            assert bound_table(n, other).k == other and passes == {other: 1}
+        assert table.theorem_bound == sum(fib_prefix(table.k, n - table.k))
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (3, 2, "need n >= 2k"),  # the check on (n, k) comes before best_k's on n
+    (9, 5, "need n >= 2k"),
+    (10, 1, "step count k must be at least 2"),
+    (3, None, "need n >= 4"),
+])
+def test_bound_table_rejects_inadmissible_sizes(n, k, message):
+    with pytest.raises(ValueError, match=message):
+        bound_table(n, k)
