@@ -24,24 +24,32 @@ nonzero entry is its diagonal: swept from the last column they finish in
 the unit phase with entries in {-1, 0, 1}, and from the first they fill in
 and divide by growing pivots.
 
-Rows are lists of Python ints end to end, with no numpy, so results are
-exact at any magnitude and importing this module stays cheap.  In the
-Bareiss phase, a row that is zero in the pivot column is not rescaled but
-left to catch up at its next real update, which on sparse 0/1 matrices
-skips most of the work.  Exactness is checked once per row: floor
-remainders all take the divisor's sign, so a row divides exactly iff the
-sum of its numerators equals the divisor times the sum of its quotients,
-and each row's sum is carried beside it.  A division by 1 is exact, so it
-is skipped with its check, and +-1 steps (see _reduce_row) add or
-subtract whole rows at C speed.
+Rows whose entries are all 0 or 1 start the unit phase as pairs of
+Python-int bitsets (``_bit_phase``), the +1 and the -1 entries of each
+row, on which a chain step is a few int ops and back substitution visits
+the nonzero entries alone.  The construction's rows stay in {-1, 0, 1} to
+the end; other rows go on as lists from the first step that would make an
+entry +-2, with the state built so far.  Elsewhere rows are lists of
+Python ints, with no numpy, so results are exact at any magnitude and
+importing this module stays cheap.  In the Bareiss phase, a row that is
+zero in the pivot column is not rescaled but left to catch up at its next
+real update, which on sparse 0/1 matrices skips most of the work.
+Exactness is checked once per row: floor remainders all take the
+divisor's sign, so a row divides exactly iff the sum of its numerators
+equals the divisor times the sum of its quotients, and each row's sum is
+carried beside it.  A division by 1 is exact, so it is skipped with its
+check, and +-1 steps (see _reduce_row) add or subtract whole rows at C
+speed.
 
-Entries are taken through ``operator.index``: ints, bools and numpy
-integers pass, while a float or a string raises TypeError instead of being
-truncated or parsed.  ``IntMatrix`` is a ``_record.Record``.  Its
-``to_text`` formats every row directly, except for a matrix built by the
-private ``IntMatrix._of_checked_rows``, which carries its text (a slot, not
-a field) and checks nothing: construction checks and renders the fixed
-lower rows of each (n, k) once and builds only the 0/1 top row per target.
+Entries are taken through ``__index__``, by ``bytes()`` for the bitsets
+(never on a row's own buffer, such as a numpy array's) and by
+``operator.index`` for the lists: ints, bools and numpy integers pass,
+while a float or a string raises TypeError instead of being truncated or
+parsed.  ``IntMatrix`` is a ``_record.Record``.  Its ``to_text`` formats
+every row directly, except for a matrix built by the private
+``IntMatrix._of_checked_rows``, which carries its text (a slot, not a
+field) and checks nothing: construction checks and renders the fixed lower
+rows of each (n, k) once and builds only the 0/1 top row per target.
 ``subset_sums`` gives both spectrum oracles' subset sums as (s, rest): a
 complete prefix of weights, as the k-step Fibonacci ones are, fills
 [0, s], and rest is the Python-int bitset of the sums of the weights
@@ -189,7 +197,21 @@ def _reduce_row(row: list[int], row_sum: int, top: list[int], top_sum: int,
     return quo, quo_sum
 
 
-def _unit_phase(a: list[list[int]], width: int):
+def _cycle_sign(order: list[int]) -> int:
+    """The sign of the permutation order of range(len(order)): -1 per cycle of even length."""
+    sign = 1
+    seen = bytearray(len(order))
+    for i in range(len(order)):
+        if not seen[i]:
+            j = order[i]
+            while j != i:
+                seen[j] = 1
+                sign = -sign
+                j = order[j]
+    return sign
+
+
+def _unit_phase(a: list[list[int]], width: int, resume=None):
     """Pivot a's rows on +-1 leads by unimodular row steps alone, from column 0 on.
 
     Each row sits in the bucket of its lead, its first nonzero column.  In
@@ -204,27 +226,34 @@ def _unit_phase(a: list[list[int]], width: int):
     rest of the elimination then starts afresh on them, whose determinant
     is unchanged by the steps.
 
+    resume, from _bit_phase, is (buckets, order, pivots, sign, c, pos): the
+    phase's state when it stopped at the chain step from bucket c's row pos,
+    with a's rows as that state left them; the phase goes on from there.
+
     Changed rows are written back into a.  Returns (sign, pivots, rows):
     the unit pivots' columns, the pivot rows in that order followed by the
     others in their order in a, and sign, the product of the unit pivots and
     the sign of that reordering; or None when the rank is below len(a).
     """
     m = len(a)
-    buckets: list[list[int]] = [[] for _ in range(width + 1)]  # bucket width: zero rows
-    for i, row in enumerate(a):
-        buckets[0 if row[0] else next(compress(count(), row), width)].append(i)
-    if buckets[width]:
-        return None
-    order: list[int] = []
-    pivots: list[int] = []
-    sign = 1
-    for c in range(width):  # past the m-th pivot, every bucket is empty
+    if resume is None:
+        buckets: list[list[int]] = [[] for _ in range(width + 1)]  # bucket width: zero rows
+        for i, row in enumerate(a):
+            buckets[0 if row[0] else next(compress(count(), row), width)].append(i)
+        if buckets[width]:
+            return None
+        order: list[int] = []
+        pivots: list[int] = []
+        sign, start, pos = 1, 0, 0
+    else:
+        buckets, order, pivots, sign, start, pos = resume
+    for c in range(start, width):  # past the m-th pivot, every bucket is empty
         b = buckets[c]
         if not b:
             if c + 1 - len(order) > width - m:
                 return None  # too few columns left for m pivots
             continue
-        i = b[0]
+        i = b[pos]
         x = a[i][c]
         rest = x != 1 and x != -1  # rows left led at c, once the chain stops
         if rest:
@@ -233,7 +262,7 @@ def _unit_phase(a: list[list[int]], width: int):
                 break
             x = a[i][c]
         else:
-            for j in b[1:]:
+            for j in b[pos + 1:]:
                 y = a[j][c]
                 if y != 1 and y != -1:
                     rest = True
@@ -245,6 +274,7 @@ def _unit_phase(a: list[list[int]], width: int):
                     return None
                 buckets[lead].append(i)
                 i, x = j, y
+        pos = 0
         if rest:
             top = a[i]
             for j in b:
@@ -265,31 +295,116 @@ def _unit_phase(a: list[list[int]], width: int):
     if len(order) < m:
         pivoted = set(order)
         order += [i for i in range(m) if i not in pivoted]
-    seen = bytearray(m)  # the reordering's sign: -1 per cycle of even length
-    for i in range(m):
-        if not seen[i]:
-            j = order[i]
-            while j != i:
-                seen[j] = 1
+    return sign * _cycle_sign(order), pivots, [a[i] for i in order]
+
+
+def _bit_phase(raw: list[bytes], plus: list[int], width: int):
+    """_unit_phase on 0/1 rows held as pairs of bitsets, while the entries stay in {-1, 0, 1}.
+
+    raw holds the rows' bytes, and plus their ints in swept coordinates:
+    bit c is column c.  Row i is the pair (plus[i], minus[i]) of the
+    bitsets of its +1 and -1 entries, so its lead is the lowest set bit of
+    plus[i] | minus[i], and it is +-1.  Every bucket is then one chain, and
+    a chain step is a few int ops: row i minus row j is plus (Pi | Nj) &
+    ~(Ni | Pj) and minus (Ni | Pj) & ~(Pi | Nj), and it would leave
+    {-1, 0, 1} exactly where Pi & Nj | Ni & Pj is set; row i plus row j
+    swaps Pj and Nj.  Buckets, chain order, pivots and signs are
+    _unit_phase's own.  At the first step that would leave {-1, 0, 1}, the
+    rows are rebuilt as lists from raw, the steps taken so far are
+    replayed on them (each bucket's chain in turn, up to that step), and
+    _unit_phase resumes at that step with the state built so far.
+
+    Returns _unit_phase's (sign, pivots, rows), with rows the (plus, minus)
+    pairs in pivot order when every row pivoted here; or None when the rank
+    is below len(raw).  plus is updated in place.
+    """
+    m = len(plus)
+    minus = [0] * m
+    buckets: list[list[int]] = [[] for _ in range(width + 1)]
+    for i, p in enumerate(plus):
+        buckets[(p & -p).bit_length() - 1].append(i)  # a zero row lands in buckets[-1]
+    if buckets[width]:
+        return None
+    order: list[int] = []
+    pivots: list[int] = []
+    sign = 1
+    for c in range(width):  # every row pivots, so past the m-th pivot every bucket is empty
+        b = buckets[c]
+        if not b:
+            if c + 1 - len(order) > width - m:
+                return None  # too few columns left for m pivots
+            continue
+        bit = 1 << c
+        i = b[0]
+        pi, ni = plus[i], minus[i]
+        for j in b[1:]:
+            pj = plus[j]
+            nj = minus[j]
+            if (pi ^ pj) & bit:  # leads of opposite signs: row i plus row j
+                if pi & pj | ni & nj:
+                    break
+                u = pi | pj
+                w = ni | nj
+            else:
+                if pi & nj | ni & pj:
+                    break
+                u = pi | nj
+                w = ni | pj
+            both = u & w  # cancelled entries, column c among them
+            plus[i] = u ^ both
+            minus[i] = w ^ both
+            u ^= w
+            if not u:
+                return None
+            buckets[(u & -u).bit_length() - 1].append(i)
+            i = j
+            pi = pj
+            ni = nj
+        else:
+            order.append(i)
+            pivots.append(c)
+            if ni & bit:
                 sign = -sign
-                j = order[j]
-    return sign, pivots, [a[i] for i in order]
+            continue
+        # The step from row i would make an entry +-2: replay the steps
+        # taken on lists, each bucket's chain in turn, and go on with them.
+        # The replay writes in place: a new list per step is over-allocated,
+        # so it cannot take the place of the exact-size row it frees (that
+        # cost about 20 MiB more peak RSS for a determinant at n = 2048).
+        pos = b.index(i)
+        a = [[*r[::-1]] for r in raw]
+        for d in (*pivots, c):
+            chain = buckets[d] if d < c else b[:pos + 1]
+            i = chain[0]
+            for j in chain[1:]:
+                row, top = a[i], a[j]
+                row[:] = map(sub if row[d] == top[d] else add, row, top)
+                i = j
+        return _unit_phase(a, width, (buckets, order, pivots, sign, c, pos))
+    return sign * _cycle_sign(order), pivots, [(plus[i], minus[i]) for i in order]
+
+
+# bytes.translate table: 0 and 1 become binary digits, and every other
+# byte the digit 2, which int(., 2) rejects.
+_BINARY_DIGITS = b"01" + b"2" * 254
 
 
 def _eliminate(rows: Sequence[Sequence[int]]):
     """Fraction-free elimination of m rows of width n >= m, last column first.
 
     Rows are read reversed: swept column c is column n-1-c, and the result
-    is in swept coordinates.  _unit_phase pivots the leading columns that
-    have a +-1 lead; from the first column where it stops, the Bareiss
-    loop takes the rows it left with prev = 1.  Per column, one pass lists
-    the rows not yet used as pivots that are nonzero there: the first is
-    the pivot and the rest are updated from column c on; a column without
-    one is skipped.  Each row's entry sum is carried beside it for
+    is in swept coordinates.  Rows whose entries are all 0 or 1 start in
+    _bit_phase, others in _unit_phase; either pivots the leading columns
+    that have a +-1 lead, and from the first column where it stops, the
+    Bareiss loop takes the rows it left with prev = 1.  Per column, one
+    pass lists the rows not yet used as pivots that are nonzero there: the
+    first is the pivot and the rest are updated from column c on; a column
+    without one is skipped.  Each row's entry sum is carried beside it for
     _reduce_row's check.  Returns (minor, pivots, rows): the determinant of
-    the rows' m pivot columns, those columns, and the reduced rows as lists
-    of ints, whose row t is the pivot row of step t; or None when the rank
-    is below m.
+    the rows' m pivot columns, those columns, and the reduced rows, whose
+    row t is the pivot row of step t; or None when the rank is below m.
+    The reduced rows are lists of ints, or (plus, minus) bitset pairs when
+    every row pivoted in _bit_phase.
 
     A Bareiss step multiplies a row that is zero in the pivot column by
     piv / prev, so over a run of such steps the factors telescope.  Such a
@@ -298,13 +413,22 @@ def _eliminate(rows: Sequence[Sequence[int]]):
     next meets a nonzero f, the step (true row * piv - true f * top) / prev
     reduces to (row * piv - f * top) / div.
     """
-    a = [list(map(index, reversed(row))) for row in rows]
-    m = len(a)
-    width = len(a[0]) if a else 0
-    unit = _unit_phase(a, width)
+    width = len(rows[0]) if len(rows) else 0
+    try:
+        # bytes() takes each entry through __index__, but reads the raw
+        # buffer of an object that has one, such as a numpy array.
+        raw = [bytes(row) if type(row) is tuple else bytes(iter(row)) for row in rows]
+        plus = [int(r.translate(_BINARY_DIGITS), 2) for r in raw]
+    except ValueError:  # an entry outside 0..255, or a 2 digit
+        plus = None
+    if plus is None:
+        unit = _unit_phase([list(map(index, reversed(row))) for row in rows], width)
+    else:
+        unit = _bit_phase(raw, plus, width)
     if unit is None:
         return None
     sign, pivots, a = unit
+    m = len(a)
     if len(pivots) == m:
         return sign, pivots, a
     sums = list(map(sum, a))
@@ -387,7 +511,9 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     substitution through their +-1 unit rows and Bareiss rows alike solves
     for their kernel vector, scaled by the maximal minor on the pivot
     columns: up to the sign of the row order, the unit pivots' product
-    times the last Bareiss pivot.
+    times the last Bareiss pivot.  When every row pivoted in the bit phase,
+    as the construction's rows do, the reduced rows are bitset pairs, and
+    back substitution adds up x over their nonzero entries alone.
     """
     m = len(rows)
     n = m + 1
@@ -402,17 +528,41 @@ def cofactor_vector(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     # Fixing x[j0] to the maximal minor on the pivot columns makes the kernel
     # vector integral (Cramer): each pivot, +-1 or Bareiss, divides exactly.
     j0 = n * m // 2 - sum(pivots)  # the one column of n missing from the m pivots
-    x = [0] * n
-    x[j0] = minor
-    for t in range(m - 1, -1, -1):
-        # Row t is zero before its pivot column p, and x[p] is still 0.
-        row, p = a[t], pivots[t]
-        q, d = -sum(map(mul, row, x)), row[p]
-        if d != 1:
-            q, r = divmod(q, d)
-            if r:
-                raise InternalInvariantError("back substitution left a nonzero remainder")
-        x[p] = q
+    if a and type(a[0]) is tuple:
+        # (plus, minus) pairs from _bit_phase, each led by a +-1 pivot: the
+        # sum over x runs over the set bits alone, top bit first, the
+        # pivot's included while its x is still 0.  x[j + 1] holds column j,
+        # so that a bit_length indexes it, and bit[j + 1] is its bit.
+        bit = [0] + [1 << j for j in range(n)]
+        x = [0] * (n + 1)
+        x[j0 + 1] = minor
+        for t in range(m - 1, -1, -1):
+            plus, minus = a[t]
+            p = pivots[t]
+            negative = not plus >> p & 1
+            q = 0
+            while minus:
+                j = minus.bit_length()
+                q += x[j]
+                minus ^= bit[j]
+            while plus:
+                j = plus.bit_length()
+                q -= x[j]
+                plus ^= bit[j]
+            x[p + 1] = -q if negative else q
+        del x[0]
+    else:
+        x = [0] * n
+        x[j0] = minor
+        for t in range(m - 1, -1, -1):
+            # Row t is zero before its pivot column p, and x[p] is still 0.
+            row, p = a[t], pivots[t]
+            q, d = -sum(map(mul, row, x)), row[p]
+            if d != 1:
+                q, r = divmod(q, d)
+                if r:
+                    raise InternalInvariantError("back substitution left a nonzero remainder")
+            x[p] = q
     # The swept cofactor C'[j0] is (-1)^j0 times that minor, so C' is the
     # kernel vector with that entry; C is C' reversed, times the reversal's sign.
     s = -1 if (j0 % 2) ^ (n % 4 > 1) else 1

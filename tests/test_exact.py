@@ -122,6 +122,49 @@ class TestEntryTypes:
         with pytest.raises(TypeError):
             IntMatrix([(1.5, 0), (0, 2.9)])
 
+    def test_numpy_array_rows_are_read_entry_by_entry(self):
+        # bytes() of an array would read its buffer: eight bytes per int64
+        # entry, 255 for an int8 -1, pointers for objects.
+        import numpy as np
+
+        rng = random.Random(8)
+        for n in range(1, 7):
+            for entries in ((0, 1), (-1, 0, 1), (0, 1, 2)):
+                rows = [tuple(rng.choice(entries) for _ in range(n)) for _ in range(n)]
+                for dtype in (np.int64, np.int8, object) + ((np.uint8,) if -1 not in entries else ()):
+                    array = np.array(rows, dtype=dtype)
+                    assert det_exact(array) == det_permsum(rows)
+                    assert cofactor_vector(array[1:]) == cofactors_permsum(rows[1:])
+
+    def test_bools_and_numpy_integer_entries_are_read_as_ints(self):
+        import numpy as np
+
+        rows = [(True, np.int64(0), np.uint8(1)), (np.int8(0), True, True),
+                (np.int64(1), True, np.int32(0))]
+        plain = [tuple(map(int, row)) for row in rows]
+        assert det_exact(rows) == det_permsum(plain) == -2
+        assert cofactor_vector(rows[1:]) == cofactors_permsum(plain[1:])
+
+    @pytest.mark.parametrize("big", [-1, 2, 256, 10**30, -(10**30)])
+    def test_entries_outside_0_1_take_the_list_path(self, big):
+        rows = [(1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, big), (0, 1, 1, 1)]
+        assert det_exact(rows) == det_permsum(rows)
+        assert cofactor_vector(rows[1:]) == cofactors_permsum(rows[1:])
+        assert cofactor_vector(rows[:3]) == cofactors_permsum(rows[:3])
+
+    @pytest.mark.parametrize("bad", [1.0, 0.0, "numpy 1.0", "1", b"1"])
+    def test_non_integers_raise_in_binary_and_other_rows(self, bad):
+        import numpy as np
+
+        bad = np.float64(1.0) if bad == "numpy 1.0" else bad
+        for other in (0, 1, 2, 256, -1):
+            with pytest.raises(TypeError):
+                det_exact([(1, 0, other), (0, 1, 0), (1, bad, 1)])
+            with pytest.raises(TypeError):
+                cofactor_vector([(other, bad, 1), (1, 0, 1)])
+        with pytest.raises(TypeError):
+            det_exact(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
     def test_bools_and_numpy_integers_become_ints(self):
         import numpy as np
 
@@ -430,9 +473,9 @@ def _wrap_unit_phase(monkeypatch):
     """
     unit_phase, calls = exact._unit_phase, []
 
-    def wrapped(a, width):
+    def wrapped(a, width, resume=None):
         had_zero_row = not all(map(any, a))
-        out = unit_phase(a, width)
+        out = unit_phase(a, width, resume)
         if out is None:
             outcome = "zero row" if not had_zero_row and not all(map(any, a)) else "rank"
         else:
@@ -445,35 +488,80 @@ def _wrap_unit_phase(monkeypatch):
     return calls
 
 
+def _wrap_bit_phase(monkeypatch):
+    """List of (outcome, result), one per _bit_phase call.
+
+    outcome says where the bit phase left the elimination: "to the end"
+    when every row pivoted there, "rank" when it found the rank below the
+    row count, or, when it handed its rows to _unit_phase, "mid-bucket" if
+    the step that would leave {-1, 0, 1} came from a bucket's second row or
+    later and "at a bucket's first step" otherwise.  The first bucket holds
+    only rows still 0/1, whose steps stay in {-1, 0, 1}, so it never hands
+    off.
+    """
+    bit_phase, unit_phase, calls, resumed = exact._bit_phase, exact._unit_phase, [], []
+
+    def wrapped_unit_phase(a, width, resume=None):
+        if resume is not None:
+            resumed.append(resume[-1])  # pos, taken before the phase moves on
+        return unit_phase(a, width, resume)
+
+    def wrapped(raw, plus, width):
+        resumed.clear()
+        out = bit_phase(raw, plus, width)
+        if resumed:
+            outcome = "mid-bucket" if resumed[0] else "at a bucket's first step"
+        else:
+            outcome = "rank" if out is None else "to the end"
+        calls.append((outcome, out))
+        return out
+
+    monkeypatch.setattr(exact, "_bit_phase", wrapped)
+    monkeypatch.setattr(exact, "_unit_phase", wrapped_unit_phase)
+    return calls
+
+
+def _construction_row_sets(n_max, rng):
+    """Both _lower_rows orders of every admissible (n, k) with n <= n_max, each also shuffled."""
+    for n in range(4, n_max + 1):
+        for k in range(2, n // 2 + 1):
+            for rows in _lower_rows(n, k):
+                yield rows
+                yield tuple(rng.sample(rows, len(rows)))
+
+
 def test_construction_rows_eliminate_with_unit_pivots(monkeypatch):
     # Row i minus row i+k of a construction is the seed row S_i, whose last
     # nonzero entry is its +-1 diagonal.  Swept from the last column, that
-    # keeps every lead +-1 and every entry in {-1, 0, 1}, so the unit phase
-    # pivots every row, also under a unit top row; swept from the first,
-    # it would not (MIRRORED_19_4 above).
-    calls = _wrap_unit_phase(monkeypatch)
+    # keeps every lead +-1 and every entry in {-1, 0, 1}, in any row order,
+    # so the bit phase pivots every row, also under a unit top row, and
+    # never hands off; swept from the first, it would (MIRRORED_19_4 above).
+    calls = _wrap_bit_phase(monkeypatch)
+    unit_calls = _wrap_unit_phase(monkeypatch)
     divisors, _ = _wrap_reduce_row(monkeypatch, corrupt=False)
-    for n in range(4, 41):
-        unit = (1,) + (0,) * (n - 1)
-        for k in range(2, n // 2 + 1):
-            for rows in _lower_rows(n, k):
-                cofactor_vector(rows)
-                det_exact([unit, *rows])
-    assert {outcome for outcome, _, _ in calls} == {"to the end"} and not divisors
-    assert set().union(*(set().union(*rows) for _, rows, _ in calls)) == {-1, 0, 1}
+    for rows in _construction_row_sets(40, random.Random(40)):
+        n = len(rows) + 1
+        cofactor_vector(rows)
+        det_exact([(1,) + (0,) * (n - 1), *rows])
+    assert {outcome for outcome, _ in calls} == {"to the end"}
+    assert not unit_calls and not divisors
+    pairs = [pair for _, (_, _, reduced) in calls for pair in reduced]
+    assert not any(plus & minus for plus, minus in pairs)
+    assert any(minus for _, minus in pairs)  # -1 entries occur
 
 
 def test_construction_rows_divide_by_one_alone(monkeypatch):
-    # Every admissible (n, k) up to 80, in both orders, finishes in the unit
-    # phase: no row reaches _reduce_row, so nothing is divided or checked.
-    calls = _wrap_unit_phase(monkeypatch)
+    # Every admissible (n, k) up to 80, in both orders and shuffled,
+    # finishes in the bit phase: no row reaches _unit_phase's lists or
+    # _reduce_row, so nothing is divided or checked.
+    calls = _wrap_bit_phase(monkeypatch)
+    unit_calls = _wrap_unit_phase(monkeypatch)
     divisors, _ = _wrap_reduce_row(monkeypatch, corrupt=False)
-    for n in range(4, 81):
-        for k in range(2, n // 2 + 1):
-            for rows in _lower_rows(n, k):
-                cofactor_vector(rows)
-    assert len(calls) == sum(2 * (n // 2 - 1) for n in range(4, 81))
-    assert {outcome for outcome, _, _ in calls} == {"to the end"} and not divisors
+    for rows in _construction_row_sets(80, random.Random(80)):
+        cofactor_vector(rows)
+    assert len(calls) == sum(4 * (n // 2 - 1) for n in range(4, 81))
+    assert {outcome for outcome, _ in calls} == {"to the end"}
+    assert not unit_calls and not divisors
 
 
 SMALL_MATRICES = st.tuples(
@@ -491,10 +579,11 @@ def test_unit_phase_matches_permutation_sums(monkeypatch):
     # the third column, led by 2 alone; leaves at once, led by 2 and 3; and
     # zeroes the first row by a chain step.  Above a lead of 1, a lead of 2
     # subtracts twice that pivot, then leads at the second column with -2.
-    @example([(1, 0), (0, 1)])
+    # Each holds a -1 or a 2, so the bit phase does not take it.
+    @example([(1, 0), (0, -1)])
     @example([(2, 0, 1), (1, 1, 0), (0, 0, 1)])
     @example([(0, 2), (1, 3)])
-    @example([(1, 1), (1, 1)])
+    @example([(1, 1), (-1, -1)])
     @example([(0, 2), (1, 1)])
     def check(rows):
         assert det_exact(rows) == det_permsum(rows)
@@ -503,6 +592,34 @@ def test_unit_phase_matches_permutation_sums(monkeypatch):
     check()
     assert {outcome for outcome, _, _ in calls} >= {
         "to the end", "part-way", "at the first column", "zero row"}
+
+
+BINARY_MATRICES = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=n, max_size=n))
+
+
+def test_bit_phase_matches_permutation_sums(monkeypatch):
+    calls = _wrap_bit_phase(monkeypatch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(BINARY_MATRICES)
+    # Swept from the last column, the bit phase pivots every row; finds a
+    # repeated row; hands off at the first step of the second bucket, whose
+    # rows read (0, 1, 1) and (0, 1, -1) swept, so that their difference
+    # holds a 2; hands off at the second step of the second bucket; and
+    # hands off where rows led by 1 and -1 would add to a 2.
+    @example([(1, 0), (0, 1)])
+    @example([(1, 1), (1, 1)])
+    @example([(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+    @example([(0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)])
+    @example([(1, 0, 1), (0, 1, 1), (1, 1, 0)])
+    def check(rows):
+        assert det_exact(rows) == det_permsum(rows)
+        assert cofactor_vector(rows[1:]) == cofactors_permsum(rows[1:])
+
+    check()
+    assert {outcome for outcome, _ in calls} >= {
+        "to the end", "rank", "at a bucket's first step", "mid-bucket"}
 
 
 def _count_unit_steps(monkeypatch):
@@ -535,18 +652,21 @@ def _count_unit_steps(monkeypatch):
             tops.append(top)  # kept alive, so that each column's top has its own id
         return out
 
-    def wrapped_unit_phase(a, width):
-        out = unit_phase(a, width)
+    def wrapped_unit_phase(a, width, resume=None):
+        out = unit_phase(a, width, resume)
         units.append(0 if out is None else len(out[1]))
         return out
 
     def wrapped_eliminate(rows):
         tops.clear()
+        units.clear()
         negated = ops["neg"]
         out = eliminate(rows)
         if ops["neg"] > negated:
             taken["negated pivot row"] += 1
-        if out is not None and len(out[1]) - units[-1] > len(set(map(id, tops))):
+        # With no _unit_phase call, the bit phase pivoted every row.
+        unit_pivots = units[-1] if units else out and len(out[1])
+        if out is not None and len(out[1]) - unit_pivots > len(set(map(id, tops))):
             taken["single hit"] += 1
         return out
 
