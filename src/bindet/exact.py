@@ -37,9 +37,8 @@ real update, which on sparse 0/1 matrices skips most of the work.
 Exactness is checked once per row: floor remainders all take the
 divisor's sign, so a row divides exactly iff the sum of its numerators
 equals the divisor times the sum of its quotients, and each row's sum is
-carried beside it.  A division by 1 is exact, so it is skipped with its
-check, and +-1 steps (see _reduce_row) add or subtract whole rows at C
-speed.
+carried beside it.  Every row step divides and is checked, a division by
+1 too (see _reduce_row).
 
 Entries are taken through ``__index__``, by ``bytes()`` for the bitsets
 (never on a row's own buffer, such as a numpy array's) and by
@@ -178,16 +177,10 @@ def _reduce_row(row: list[int], row_sum: int, top: list[int], top_sum: int,
     row_sum and top_sum are the sums of row and top, carried by the caller.
     Floor remainders all take the sign of d, so they vanish together exactly
     when the numerators sum to d times the quotients' sum: one check per
-    row, not per entry.  d = 1 is exact, so it neither divides nor checks,
-    and with a +-1 pivot and f = +-1 the step is one ``map`` at C speed.
+    row, not per entry.  Every step divides and checks, d = 1 too, so a
+    carried sum that has gone wrong fails at the row's next step.
     """
     total = piv * row_sum - f * top_sum
-    if d == 1:
-        if piv == 1 and (f == 1 or f == -1):
-            return list(map(sub if f == 1 else add, row, top)), total
-        if piv == -1 and f == -1:
-            return list(map(sub, top, row)), total
-        return [x * piv - f * y for x, y in zip(row, top)], total
     quo = [(x * piv - f * y) // d for x, y in zip(row, top)]
     quo_sum = sum(quo)
     if total != d * quo_sum:
@@ -453,12 +446,10 @@ def _eliminate(rows: Sequence[Sequence[int]]):
             sums[t], sums[p] = sums[p], sums[t]
             div[t], div[p] = div[p], div[t]
             sign = -sign
-        if div[t] == -prev:  # the true row is -row
-            a[t], sums[t] = list(map(neg, a[t])), -sums[t]
-        elif div[t] != prev:
+        if div[t] != prev:
             a[t], sums[t] = _reduce_row(a[t], sums[t], a[t], 0, prev, 0, div[t])
         piv = a[t][c]
-        top, top_sum = a[t][c:] if len(hit) > 1 else None, sums[t]
+        top, top_sum = a[t][c:], sums[t]
         # Rows t+1..p-1 are zero in column c, and row p now holds the old
         # row t, which is too.
         for i in hit[1:]:

@@ -129,34 +129,22 @@ MUTANTS = (
     ),
     # The Bareiss loop.
     Mutant(
-        "negation of a pivot row disabled", EXACT,
-        "if div[t] == -prev:",
+        "remainder check of a row step dropped", EXACT,
+        "if total != d * quo_sum:",
         "if False:",
-        ("tests/test_exact.py::test_unit_steps_match_permutation_sums",),
+        ("tests/test_exact.py::test_row_reduction_raises_iff_a_remainder_is_left",),
     ),
     Mutant(
-        "+-1 branch of the row step disabled", EXACT,
-        "if piv == 1 and (f == 1 or f == -1):",
+        "a pivot row whose scale lags is not rescaled", EXACT,
+        "if div[t] != prev:",
         "if False:",
-        ("tests/test_exact.py::test_unit_steps_match_permutation_sums",),
-    ),
-    Mutant(
-        "top and row swapped in the pivot -1 branch", EXACT,
-        "return list(map(sub, top, row)), total",
-        "return list(map(sub, row, top)), total",
-        ("tests/test_exact.py::test_unit_steps_match_permutation_sums",),
-    ),
-    Mutant(
-        "top slice copied only for three or more hits", EXACT,
-        "a[t][c:] if len(hit) > 1 else None",
-        "a[t][c:] if len(hit) > 2 else None",
-        ("tests/test_exact.py::test_unit_steps_match_permutation_sums",),
+        ("tests/test_exact.py::test_unit_phase_matches_permutation_sums",),
     ),
     Mutant(
         "Bareiss updates sliced from c + 1", EXACT,
         "row[c:], sums[i] = _reduce_row(row[c:],",
         "row[c + 1:], sums[i] = _reduce_row(row[c + 1:],",
-        ("tests/test_exact.py::test_unit_steps_match_permutation_sums",
+        ("tests/test_exact.py::test_unit_phase_matches_permutation_sums",
          "tests/test_exact.py::test_cofactors_match_permutation_minors"),
     ),
     # Binarity, subset sums and the run form of a spectrum.

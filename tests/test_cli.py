@@ -126,6 +126,18 @@ class TestConstruct:
         assert code == 0
         assert path.read_text().startswith("certificate\n")
 
+    def test_pretty_summary_lines(self, capsys, tmp_path):
+        summary = ("constructed 10x10 binary matrix with det -20 (k=3, subset size 2, "
+                   "sign swap True)\n")
+        code, out, err = run(capsys, "construct", "--n", "10", "--k", "3", "--det", "-20")
+        assert (code, err) == (0, "")
+        assert out == summary + construct_matrix(10, -20, 3).to_text()
+        path = tmp_path / "matrix.txt"
+        code, out, err = run(capsys, "construct", "--n", "10", "--k", "3", "--det", "-20",
+                             "--emit", "matrix", "--out", str(path))
+        assert (code, out, err) == (0, summary + f"wrote {path}\n", "")
+        assert path.read_text() == construct_matrix(10, -20, 3).matrix.to_text()
+
 
 class TestVerify:
     def make_cert(self, capsys, tmp_path, *extra):
@@ -218,6 +230,36 @@ class TestVerify:
         # Reading the file in text mode turns CRLF line ends into "\n".
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert run(capsys, "verify", str(path), "--format", "structured") == (0, out, "")
+
+    @pytest.mark.parametrize("row, expected", [
+        # A 2 in the top row joins the subset line and adds its weight.
+        (1, ["document says 'subset 3 5 7' but its target and matrix give 'subset 1 3 5 7'",
+             "matrix entries are not all 0/1",
+             "subset sums to 21, expected |target| = 20",
+             "target 20 but recomputed determinant 22"]),
+        (4, ["matrix entries are not all 0/1",
+             "rows 2..n are not the construction rows for n=10, k=2",
+             "orthogonal vector is not orthogonal to rows 2..n",
+             "target 20 but recomputed determinant 4"]),
+    ], ids=["top row", "row 4"])
+    def test_a_2_in_the_matrix_lists_each_mismatch_in_order(self, capsys, tmp_path,
+                                                            row, expected):
+        lines = construct_matrix(10, 20, 2).to_text().split("\n")
+        at = lines.index("matrix") + 1 + row
+        assert lines[at].startswith("0 ")
+        lines[at] = "2" + lines[at][1:]
+        path = tmp_path / "cert.txt"
+        path.write_text("\n".join(lines))
+        code, out, err = run(capsys, "verify", str(path), "--format", "structured")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"mismatch: {line}" for line in expected]
+
+    def test_pretty_summary_lines(self, capsys, tmp_path):
+        path = self.make_cert(capsys, tmp_path)
+        assert run(capsys, "verify", str(path)) == (
+            0, "certificate ok: n=10 k=3 det=21\n", "")
+        path.write_text(construct_matrix(9, -4).matrix.to_text())
+        assert run(capsys, "verify", str(path)) == (0, "matrix is 9x9, det = -4\n", "")
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "junk.txt"
@@ -448,6 +490,27 @@ class TestSelftest:
                            "--format", "structured")
         assert code == 0
         assert "selftest:" in out and "pass n=8" in out
+
+    @pytest.mark.parametrize("fmt", ["pretty", "structured"])
+    def test_a_failing_case_is_reported_and_exits_3(self, capsys, monkeypatch, fmt):
+        def refuse(n, target, k=None):
+            raise ValueError("refused")
+
+        monkeypatch.setattr("bindet.oracle.construct_matrix", refuse)
+        code, out, err = run(capsys, "selftest", "--n-max", "4", "--k-max", "2",
+                             "--format", fmt)
+        assert (code, err) == (3, "")
+        assert out.splitlines() == [
+            "selftest n=4 k=2",
+            "  pass binary_entries",
+            "  pass row_formula_agreement",
+            "  pass orthogonality_seed",
+            "  pass orthogonality_binarized",
+            "  pass unit_determinant",
+            "  FAIL target_sweep (target -2: refused)",
+            "  targets swept: 0",
+            "selftest: 0/1 cases passed",
+        ]
 
     def test_pretty_pass_lines_are_timed_by_the_cli(self, capsys, monkeypatch):
         monkeypatch.setattr(bindet.cli, "perf_counter", itertools.count(0, 0.5).__next__)

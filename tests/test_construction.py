@@ -210,6 +210,10 @@ class TestGreedySubset:
         with pytest.raises(ValueError, match=r"weights\[3\]"):
             greedy_subset((1, 1, 2, 5), 3)
 
+    def test_rejects_empty_weights(self):
+        with pytest.raises(ValueError, match="weights must be nonempty"):
+            greedy_subset([], 0)
+
     def test_rejects_target_outside_range(self):
         with pytest.raises(ValueError, match="outside"):
             greedy_subset((1, 1, 2), 5)
@@ -679,3 +683,7 @@ class TestCertificateSerialization:
             ConstructionCertificate.from_text(text.replace("end", ""))
         with pytest.raises(ValueError):
             ConstructionCertificate.from_text("certificate\nn 10\n")
+
+    def test_from_text_rejects_another_header(self):
+        with pytest.raises(ValueError, match="^not a certificate document$"):
+            ConstructionCertificate.from_text("bogus\n")

@@ -1,6 +1,5 @@
 """Exact linear algebra: determinants, cofactors, dot products."""
 
-import collections
 import functools
 import itertools
 import math
@@ -42,6 +41,32 @@ def det_permsum(rows):
     """Independent oracle: determinant as the signed permutation sum."""
     return sum(sign * math.prod(map(getitem, rows, perm))
                for perm, sign in signed_permutations(len(rows)))
+
+
+def det_bareiss(rows):
+    """Independent oracle past n = 8: textbook Bareiss, first column first.
+
+    Every step updates every row below the pivot, with no lazy scaling and
+    no unit pivots, and asserts each division exact; a zero column ends it.
+    """
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for c in range(n - 1):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            sign = -sign
+        piv, top = a[c][c], a[c]
+        for row in a[c + 1:]:
+            f = row[c]
+            for j in range(c + 1, n):
+                q, r = divmod(row[j] * piv - f * top[j], prev)
+                assert r == 0
+                row[j] = q
+        prev = piv
+    return sign * a[-1][-1]
 
 
 class TestIntMatrix:
@@ -88,6 +113,10 @@ class TestIntMatrix:
     def test_text_rejects_garbage(self):
         with pytest.raises(ValueError):
             IntMatrix.from_text("hello\n")
+
+    def test_text_rejects_a_zero_row_count(self):
+        with pytest.raises(ValueError, match="^row count must be positive, got 0$"):
+            exact.parse_rows("0\n")
 
 
 class TestEntryTypes:
@@ -397,8 +426,9 @@ small_ints = st.integers(-50, 50)
 )
 @example(pairs=[(1, 2), (-3, 5)], piv=7, f=2, d=1, scale=False)
 @example(pairs=[(1, 2), (-3, 5)], piv=7, f=0, d=1, scale=False)
+@example(pairs=[(1, 0), (2, 1)], piv=1, f=1, d=2, scale=False)
 def test_row_reduction_raises_iff_a_remainder_is_left(pairs, piv, f, d, scale):
-    # d = 1 skips the division and the check, and never leaves a remainder.
+    # d = 1 divides and checks like any d, and never leaves a remainder.
     if scale:  # every numerator a multiple of d, so the row is exact
         pairs = [(x * d, y * d) for x, y in pairs]
     row, top = [x for x, _ in pairs], [y for _, y in pairs]
@@ -439,7 +469,8 @@ def _wrap_reduce_row(monkeypatch, corrupt):
 def test_the_family_divides_by_pivots_other_than_one(monkeypatch):
     divisors, _ = _wrap_reduce_row(monkeypatch, corrupt=False)
     cofactor_vector(MIRRORED_19_4)
-    # The corrupted sum below comes from a division by 1, which is unchecked.
+    # The corrupted sum below is returned by a division by 1; the row's next
+    # step checks it, whatever its divisor.
     assert divisors[0] == 1 and set(divisors) - {1}
 
 
@@ -585,6 +616,15 @@ def test_unit_phase_matches_permutation_sums(monkeypatch):
     @example([(0, 2), (1, 3)])
     @example([(1, 1), (-1, -1)])
     @example([(0, 2), (1, 1)])
+    # Each of these leaves the unit phase at once, led by 2 and 3, and the
+    # Bareiss loop pivots on the 2; then a row the first step left alone
+    # meets a pivot of 1 with f = 1, then f = -1, and a pivot of -1 with
+    # f = -1.  In the last, a single-hit column with a -2 pivot follows a 2,
+    # so the next pivot row, current under 2, is rescaled to -2.
+    @example([(0, 1, 2), (0, 2, 3), (1, 1, 0)])
+    @example([(0, 1, 2), (0, 2, 3), (1, -1, 0)])
+    @example([(0, 1, 2), (0, 1, 3), (1, -1, 0)])
+    @example([(0, 0, 0, 2), (0, 1, 0, 3), (0, 0, -1, 0), (1, 0, 0, 0)])
     def check(rows):
         assert det_exact(rows) == det_permsum(rows)
         assert cofactor_vector(rows[1:]) == cofactors_permsum(rows[1:])
@@ -622,92 +662,38 @@ def test_bit_phase_matches_permutation_sums(monkeypatch):
         "to the end", "rank", "at a bucket's first step", "mid-bucket"}
 
 
-def _count_unit_steps(monkeypatch):
-    """Counter of the Bareiss loop's +-1 branches taken, each checked to run as it should.
-
-    A row update through a branch must make one add or sub per entry and
-    nothing else; a single-hit column is a Bareiss pivot column that
-    updates no row.
-    """
-    taken, ops, tops, units = collections.Counter(), collections.Counter(), [], []
-
-    def counted(name, op):
-        def call(*args):
-            ops[name] += 1
-            return op(*args)
-        return call
-
-    for name in ("add", "sub", "neg"):
-        monkeypatch.setattr(exact, name, counted(name, getattr(exact, name)))
-    reduce_row, eliminate, unit_phase = exact._reduce_row, exact._eliminate, exact._unit_phase
-
-    def wrapped_reduce_row(row, row_sum, top, top_sum, piv, f, d):
-        before = ops.copy()
-        out = reduce_row(row, row_sum, top, top_sum, piv, f, d)
-        step = {(1, 1): "sub", (1, -1): "add", (-1, -1): "sub"}.get((piv, f)) if d == 1 else None
-        assert ops - before == collections.Counter({step: len(row)} if step else {})
-        if step:
-            taken[f"piv {piv}, f {f}"] += 1
-        if f:
-            tops.append(top)  # kept alive, so that each column's top has its own id
-        return out
-
-    def wrapped_unit_phase(a, width, resume=None):
-        out = unit_phase(a, width, resume)
-        units.append(0 if out is None else len(out[1]))
-        return out
-
-    def wrapped_eliminate(rows):
-        tops.clear()
-        units.clear()
-        negated = ops["neg"]
-        out = eliminate(rows)
-        if ops["neg"] > negated:
-            taken["negated pivot row"] += 1
-        # With no _unit_phase call, the bit phase pivoted every row.
-        unit_pivots = units[-1] if units else out and len(out[1])
-        if out is not None and len(out[1]) - unit_pivots > len(set(map(id, tops))):
-            taken["single hit"] += 1
-        return out
-
-    monkeypatch.setattr(exact, "_reduce_row", wrapped_reduce_row)
-    monkeypatch.setattr(exact, "_unit_phase", wrapped_unit_phase)
-    monkeypatch.setattr(exact, "_eliminate", wrapped_eliminate)
-    return taken
-
-
-UNIT_ENTRY_MATRICES = st.tuples(st.integers(2, 6), st.sampled_from([(0, 1), (-1, 0, 1)])).flatmap(
-    lambda spec: st.lists(st.tuples(*[st.sampled_from(spec[1])] * spec[0]),
-                          min_size=spec[0], max_size=spec[0]))
-
-
-def test_unit_steps_match_permutation_sums(monkeypatch):
-    taken = _count_unit_steps(monkeypatch)
-
-    @settings(max_examples=300, deadline=None)
-    @given(UNIT_ENTRY_MATRICES)
-    # Swept from the last column, each leaves the unit phase at once, led
-    # by 2 and 3, and the Bareiss loop pivots on the 2.  Then, on a row the
-    # first step left alone: piv 1 with f 1, then with f -1; piv -1 with
-    # f -1; and a -2 pivot in a single-hit column that leaves the next
-    # pivot row to be negated.
-    @example([(0, 1, 2), (0, 2, 3), (1, 1, 0)])
-    @example([(0, 1, 2), (0, 2, 3), (1, -1, 0)])
-    @example([(0, 1, 2), (0, 1, 3), (1, -1, 0)])
-    @example([(0, 0, 0, 2), (0, 1, 0, 3), (0, 0, -1, 0), (1, 0, 0, 0)])
-    def check(rows):
-        assert det_exact(rows) == det_permsum(rows)
-        assert cofactor_vector(rows[1:]) == cofactors_permsum(rows[1:])
-
-    check()
-    assert set(taken) == {"piv 1, f 1", "piv 1, f -1", "piv -1, f -1",
-                          "negated pivot row", "single hit"}
-
-
 @settings(max_examples=150, deadline=None)
 @given(square_int_matrix())
 def test_det_matches_permutation_sum(rows):
-    assert det_exact(rows) == det_permsum(rows)
+    assert det_exact(rows) == det_permsum(rows) == det_bareiss(rows)
+
+
+def _oracle_rows(kind, n, rng):
+    """n rows of length n of one kind, for the comparison with det_bareiss."""
+    if kind == "construction":  # below a random 0/1 top row, in either order
+        k = rng.randint(2, n // 2)
+        return [tuple(rng.randint(0, 1) for _ in range(n)), *rng.choice(_lower_rows(n, k))]
+    if kind.startswith("rank"):
+        return low_rank_rows(rng, n, n - int(kind[-1]))
+    entries = {"0/1": (0, 1), "-1/0/1": (-1, 0, 1), "small": range(-3, 4)}[kind]
+    rows = [tuple(rng.choice(entries) for _ in range(n)) for _ in range(n)]
+    if kind == "0/1" and rng.random() < 0.2:  # a repeated row
+        rows[rng.randrange(n)] = rng.choice(rows)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(9, 40),
+       st.sampled_from(["0/1", "-1/0/1", "small", "rank 1", "rank 2", "construction"]),
+       st.randoms(use_true_random=False))
+def test_det_and_cofactors_match_plain_bareiss_past_n_8(n, kind, rng):
+    # The unit phases, the hand-off, lazy scaling and back substitution
+    # against an elimination that shares no code with them.
+    rows = _oracle_rows(kind, n, rng)
+    assert det_exact(rows) == det_bareiss(rows)
+    cof = cofactor_vector(rows[1:])
+    top = tuple(rng.randint(0, 1) for _ in range(n))
+    assert det_bareiss([top, *rows[1:]]) == sum(c * x for c, x in zip(cof, top))
 
 
 def cofactors_permsum(rows):

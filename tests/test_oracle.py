@@ -382,6 +382,10 @@ class TestSpectrumFamily:
         with pytest.raises(ValueError):
             spectrum_family([(1, 0), (0, 1)])
 
+    def test_rejects_no_rows(self):
+        with pytest.raises(ValueError, match="need at least one fixed row"):
+            spectrum_family([])
+
     def test_cell_cap_refuses_a_small_entry_family_just_past_it(self):
         # Cofactors (2^28, 0, 0) need 2^28 + 1 cells, one more than the cap.
         rows = [(0, 1 << 14, 0), (0, 0, 1 << 14)]
@@ -459,6 +463,16 @@ class TestVerifyConstruction:
         report = verify_construction(24, best_k(24), sweep_limit=64, sample=40)
         assert report.all_passed
         assert report.targets_swept == 40
+
+    def test_a_raise_in_the_sweep_is_reported(self, monkeypatch):
+        def refuse(n, target, k=None):
+            raise ValueError(f"no matrix for {target}")
+
+        monkeypatch.setattr(oracle, "construct_matrix", refuse)
+        report = verify_construction(10, 3)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert failed == {"target_sweep": "target -52: no matrix for -52"}
+        assert report.targets_swept == 0 and not report.all_passed
 
     def test_row_formula_disagreement_is_reported(self, monkeypatch):
         # binary_rows is compared with the product of the transform and the
